@@ -174,8 +174,9 @@ type Stats struct {
 	// RedundantPlansRejected counts new plans discarded by the
 	// redundancy check.
 	RedundantPlansRejected int64
-	// RecostCacheHits / RecostCacheMisses report the engine's recost
-	// result cache (zero when the engine does not implement CacheReporter).
+	// RecostCacheHits / RecostCacheMisses report the engine's recost memo:
+	// a hit is a plan recosted again for the same prepared instance (zero
+	// when the engine does not implement CacheReporter).
 	RecostCacheHits   int64
 	RecostCacheMisses int64
 	// EnvPoolGets / EnvPoolReuses report the engine's pooled selectivity
@@ -292,10 +293,10 @@ type FaultReporter interface {
 }
 
 // CacheReporter is the optional accounting surface of an Engine exposing
-// the recost-result-cache and pooled-environment counters surfaced through
-// Stats and /metrics.
+// the per-instance recost memo and pooled-environment counters surfaced
+// through Stats and /metrics.
 type CacheReporter interface {
-	// RecostCacheCounters reports recost-cache hits and misses.
+	// RecostCacheCounters reports recost memo hits and misses.
 	RecostCacheCounters() (hits, misses int64)
 	// EnvPoolCounters reports pooled selectivity environments handed out
 	// and pool reuses.

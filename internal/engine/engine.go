@@ -16,6 +16,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/stats"
+	"repro/internal/stripe"
 )
 
 // CachedPlan is the unit stored in a PQO plan cache: the physical plan, its
@@ -54,9 +55,10 @@ type TemplateEngine struct {
 	optCalls    atomic.Int64
 	recostCalls atomic.Int64
 
-	// rc memoizes recost results per (plan fingerprint, sv hash). Valid
-	// until the statistics store changes; see FlushRecostCache.
-	rc recostCache
+	// memoHits / memoMisses count PreparedInstance memo lookups. Every
+	// cost-check recost bumps one, so they are striped.
+	memoHits   stripe.Int64
+	memoMisses stripe.Int64
 }
 
 // NewTemplateEngine builds an engine for tpl over an existing optimizer.
@@ -95,9 +97,9 @@ func (e *TemplateEngine) OptimizeEpoch(sv []float64) (*CachedPlan, float64, uint
 	return &CachedPlan{Plan: p, SM: sm}, c, epoch, nil
 }
 
-// Recost computes the cost of a cached plan at sv via its shrunken memo,
-// consulting the recost result cache first. Callers recosting several plans
-// for one instance should batch through PrepareRecost instead.
+// Recost computes the cost of a cached plan at sv via its shrunken memo.
+// Callers recosting several plans for one instance should batch through
+// PrepareRecost instead.
 func (e *TemplateEngine) Recost(cp *CachedPlan, sv []float64) (float64, error) {
 	c, _, err := e.RecostEpoch(cp, sv)
 	return c, err
@@ -105,8 +107,8 @@ func (e *TemplateEngine) Recost(cp *CachedPlan, sv []float64) (float64, error) {
 
 // RecostEpoch is Recost plus the id of the statistics epoch the cost was
 // derived under. It routes through the prepared-instance path so the
-// pinned environment, the returned epoch and the recost-cache key all name
-// the same generation even if AdvanceEpoch lands concurrently.
+// pinned environment and the returned epoch name the same generation even
+// if AdvanceEpoch lands concurrently.
 func (e *TemplateEngine) RecostEpoch(cp *CachedPlan, sv []float64) (float64, uint64, error) {
 	if cp == nil {
 		return 0, 0, fmt.Errorf("engine: recost of nil cached plan")
@@ -126,17 +128,16 @@ func (e *TemplateEngine) RecostEpoch(cp *CachedPlan, sv []float64) (float64, uin
 // StatsEpoch returns the id of the current statistics epoch.
 func (e *TemplateEngine) StatsEpoch() uint64 { return e.Opt.Epoch().ID }
 
-// RecostCacheCounters reports cumulative recost-cache hits and misses.
+// RecostCacheCounters reports cumulative recost memo hits and misses: a
+// hit is a plan recosted again through the same PreparedInstance, so
+// reuse never crosses instances, vectors or statistics epochs.
 func (e *TemplateEngine) RecostCacheCounters() (hits, misses int64) {
-	return e.rc.counters()
+	return e.memoHits.Load(), e.memoMisses.Load()
 }
 
 // AdvanceEpoch installs st as the next statistics generation and returns
-// the new epoch. No cache flush is needed: recost results are keyed by
-// epoch id, so entries from previous generations simply stop matching and
-// age out under the shard-capacity sweep. The cacheinvalidation analyzer
-// accepts AdvanceEpoch as a legal alternative to FlushRecostCache
-// (docs/LINT.md).
+// the new epoch. Nothing needs invalidating: recost results are memoized
+// only inside a PreparedInstance, which pins its epoch when prepared.
 func (e *TemplateEngine) AdvanceEpoch(st *stats.Store) *stats.Epoch {
 	return e.Opt.AdvanceEpoch(st)
 }
@@ -147,14 +148,6 @@ func (e *TemplateEngine) AdvanceEpoch(st *stats.Store) *stats.Epoch {
 func (e *TemplateEngine) SetStats(st *stats.Store) {
 	e.AdvanceEpoch(st)
 }
-
-// FlushRecostCache drops every cached recost result wholesale. With
-// epoch-keyed entries this is never required for correctness — a stats
-// swap through AdvanceEpoch invalidates by construction — but it remains
-// available to reclaim memory eagerly (e.g. after a template is retired).
-// It must not be called on a serving path; pqolint's cacheinvalidation
-// analyzer rejects calls from internal/core.
-func (e *TemplateEngine) FlushRecostCache() { e.rc.flush() }
 
 // EnvPoolCounters reports the optimizer's pooled-environment accounting:
 // environments handed out and pool reuses.

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/cost"
+	"repro/internal/memo"
 	"repro/internal/query"
 )
 
@@ -64,8 +66,18 @@ func TestEngineOptimizeAndRecost(t *testing.T) {
 	}
 }
 
-func TestSetStatsFlushesRecostCache(t *testing.T) {
+// constPred is a constant (non-parameter) predicate, estimated from the
+// statistics store: the part of a cost that changes across epochs.
+var constPred = query.Predicate{Table: "orders", Column: "o_totalprice", Op: query.GE, Param: -1, Value: 100_000}
+
+// TestAdvanceEpochRecostMatchesFreshSystem: after an epoch advance a
+// recost must be exactly the cost a fresh System built on the new
+// statistics derives, and never the cost from the previous generation.
+func TestAdvanceEpochRecostMatchesFreshSystem(t *testing.T) {
 	sys, tpl := testSystem(t)
+	// Statistics reach a cost only through constant predicates (parameters
+	// arrive as selectivities), so give the template one.
+	tpl.Preds = append(tpl.Preds, constPred)
 	eng, err := sys.EngineFor(tpl)
 	if err != nil {
 		t.Fatal(err)
@@ -75,33 +87,46 @@ func TestSetStatsFlushesRecostCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First recost fills the cache; the second must hit it.
-	if _, err := eng.Recost(cp, sv); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Recost(cp, sv); err != nil {
-		t.Fatal(err)
-	}
-	hits, _ := eng.RecostCacheCounters()
-	if hits == 0 {
-		t.Fatal("expected a recost-cache hit before the stats swap")
-	}
-
-	// Swap in a statistics store built from different data: the swap must
-	// flush the cache, so the next identical recost misses.
-	sys2, err := NewSystem(catalog.NewTPCH(0.1), 43)
+	before, err := eng.Recost(cp, sv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetStats(sys2.Stats)
-	_, missesBefore := eng.RecostCacheCounters()
-	if _, err := eng.Recost(cp, sv); err != nil {
+
+	st2, err := sys.ResampleStats(43)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, missesAfter := eng.RecostCacheCounters()
-	if missesAfter != missesBefore+1 {
-		t.Errorf("recost after SetStats hit the cache (misses %d -> %d); stale cost served",
-			missesBefore, missesAfter)
+	fresh := &System{Cat: sys.Cat, Stats: st2, Opt: memo.NewOptimizer(sys.Cat, cost.DefaultModel(), st2)}
+	freshEng, err := fresh.EngineFor(tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshCP, err := freshEng.Rehydrate(cp.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := freshEng.Recost(freshCP, sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == before {
+		t.Fatal("resampled statistics leave the plan's cost unchanged; the test cannot tell generations apart")
+	}
+
+	eng.AdvanceEpoch(st2)
+	if got, err := eng.Recost(cp, sv); err != nil || got != want {
+		t.Errorf("Recost after AdvanceEpoch = %v, %v; want %v (pre-advance cost %v)", got, err, want, before)
+	}
+	pi, err := eng.PrepareRecost(sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pi.Release()
+	for i := 0; i < 2; i++ { // the second recost is served by the memo
+		if got, err := pi.Recost(cp); err != nil || got != want {
+			t.Errorf("prepared Recost #%d after AdvanceEpoch = %v, %v; want %v (pre-advance cost %v)",
+				i+1, got, err, want, before)
+		}
 	}
 }
 

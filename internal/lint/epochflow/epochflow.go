@@ -7,7 +7,7 @@
 // Two checks:
 //
 //  1. Epoch plumbing. A composite literal of an epoch-bearing struct
-//     (anchor, recostKey, Decision, cacheSnapshot, ...) that sets other
+//     (anchor, optResult, Decision, cacheSnapshot, ...) that sets other
 //     fields but omits the epoch field silently pins the zero epoch to
 //     the artifact — it would never match the current generation, or
 //     worse, match epoch 0 forever. Positional literals necessarily set

@@ -1,5 +1,5 @@
 // Package core models the statistics-epoch discipline for the epochflow
-// analyzer: epoch-bearing artifacts (anchors, recost-cache keys,
+// analyzer: epoch-bearing artifacts (anchors, optimizer results,
 // decisions) must carry the epoch they were computed under, and every
 // recost-vs-anchor cost comparison must sit behind an epoch guard.
 package core
@@ -15,8 +15,8 @@ type Decision struct {
 	Epoch  uint64
 }
 
-type recostKey struct {
-	fp    string
+type optResult struct {
+	cost  float64
 	epoch uint64
 }
 
@@ -31,9 +31,9 @@ func recostWithEpoch(fp string) (float64, uint64, error) { return 1, 0, nil }
 func Recost(fp string) float64 { return 1 }
 
 // Literals carrying their epoch: compliant.
-func mkOK(st *store) (*Decision, recostKey, anchor) {
+func mkOK(st *store) (*Decision, optResult, anchor) {
 	d := &Decision{PlanID: "p", Cost: 1, Epoch: st.statsEpoch()}
-	k := recostKey{fp: "f", epoch: st.statsEpoch()}
+	k := optResult{cost: 1, epoch: st.statsEpoch()}
 	a := anchor{c: 1, s: 1, epoch: st.statsEpoch()}
 	return d, k, a
 }
@@ -45,9 +45,9 @@ func mkPositional() anchor { return anchor{1, 1, 7} }
 func mkZero() anchor { return anchor{} }
 
 // Omitting the epoch pins the artifact to generation zero forever.
-func mkBad() (*Decision, recostKey) {
+func mkBad() (*Decision, optResult) {
 	d := &Decision{PlanID: "p", Cost: 1} // want `composite literal of Decision omits its Epoch field`
-	k := recostKey{fp: "f"}              // want `composite literal of recostKey omits its epoch field`
+	k := optResult{cost: 1}              // want `composite literal of optResult omits its epoch field`
 	return d, k
 }
 

@@ -7,7 +7,6 @@ package lint
 import (
 	"golang.org/x/tools/go/analysis"
 
-	"repro/internal/lint/cacheinvalidation"
 	"repro/internal/lint/costdeterminism"
 	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/envpool"
@@ -23,7 +22,6 @@ func Analyzers() []*analysis.Analyzer {
 		envpool.Analyzer,
 		lockdiscipline.Analyzer,
 		costdeterminism.Analyzer,
-		cacheinvalidation.Analyzer,
 		ctxflow.Analyzer,
 		rcupublish.Analyzer,
 		epochflow.Analyzer,

@@ -67,10 +67,8 @@ func (o *Optimizer) StatsStore() *stats.Store { return o.epoch.Load().Store }
 // calls that already prepared their environment finish under the epoch
 // they started with; new preparations observe the new epoch.
 //
-// Unlike a bare stats swap, advancing needs no recost-cache flush: the
-// engine layer keys cached recost results by epoch id, so entries from
-// previous generations can never satisfy lookups made under the new one
-// and simply age out.
+// Advancing invalidates nothing: the engine layer memoizes recost results
+// only per prepared environment, which stays pinned to its own epoch.
 func (o *Optimizer) AdvanceEpoch(st *stats.Store) *stats.Epoch {
 	for {
 		cur := o.epoch.Load()

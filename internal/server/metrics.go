@@ -105,9 +105,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.WritePathHits) }},
 		{"pqo_getplan_recosts_total", "Recost calls on the critical path (cost check).",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.GetPlanRecosts) }},
-		{"pqo_recost_cache_hits_total", "Recost result cache hits.",
+		{"pqo_recost_cache_hits_total", "Recost memo hits: plans recosted again for the same prepared instance.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.RecostCacheHits) }},
-		{"pqo_recost_cache_misses_total", "Recost result cache misses.",
+		{"pqo_recost_cache_misses_total", "Recost memo misses: recosts computed.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.RecostCacheMisses) }},
 		{"pqo_env_pool_gets_total", "Pooled selectivity environments handed out.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EnvPoolGets) }},
@@ -143,8 +143,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.RevalidatedPlans) }},
 		{"pqo_epoch_lag_fallbacks_total", "Instances served flagged because their candidates lagged the current epoch.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EpochLagFallbacks) }},
-		{"pqo_write_lock_wait_seconds_total", "Cumulative time waiting for the cache write lock.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%g", st.WriteLockWait.Seconds()) }},
 		{"pqo_writer_wait_seconds_total", "Time writers waited to acquire this template's write-domain mutex (striped accumulation).",
 			func(st statsSnapshot) string { return fmt.Sprintf("%g", st.WriteLockWait.Seconds()) }},
 		{"pqo_publish_total", "RCU snapshot publications for this template's write domain.",

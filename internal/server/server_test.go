@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -254,10 +255,83 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMetricsSeriesUnique asserts that /metrics prints every metric name
+// exactly once per template: each family is declared once, and no series
+// (name plus label set) repeats. It also pins the retired alias of
+// pqo_writer_wait_seconds_total, which used to print the same counter
+// under a second name.
+func TestMetricsSeriesUnique(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	eng2, err := pqotest.RandomEngine(rand.New(rand.NewSource(8)), 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr2, err := pqo.New(eng2, pqo.WithLambda(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register("t2", "SELECT synthetic", eng2, scr2); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, req := range []PlanRequest{
+		{Template: "t1", SVector: []float64{0.1, 0.2}},
+		{Template: "t2", SVector: []float64{0.1, 0.2, 0.3}},
+	} {
+		if w, _ := postPlan(t, h, req); w.Code != http.StatusOK {
+			t.Fatalf("/plan %s: status %d", req.Template, w.Code)
+		}
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+
+	declared := map[string]bool{}
+	perTemplate := map[string]map[string]bool{} // family -> templates with a series
+	seen := map[string]bool{}
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			if declared[name] {
+				t.Errorf("metric %s declared twice", name)
+			}
+			declared[name] = true
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := line[:strings.LastIndexByte(line, ' ')]
+		if seen[series] {
+			t.Errorf("series %s printed twice", series)
+		}
+		seen[series] = true
+		name, labels, _ := strings.Cut(series, "{")
+		for _, tpl := range []string{"t1", "t2"} {
+			if strings.HasPrefix(labels, fmt.Sprintf("template=%q", tpl)) {
+				if perTemplate[name] == nil {
+					perTemplate[name] = map[string]bool{}
+				}
+				perTemplate[name][tpl] = true
+			}
+		}
+	}
+	for name, tpls := range perTemplate {
+		if len(tpls) != 2 {
+			t.Errorf("metric %s has series for templates %v, want t1 and t2", name, tpls)
+		}
+	}
+	if declared["pqo_write_lock_wait_seconds_total"] {
+		t.Error("/metrics still prints the pqo_write_lock_wait_seconds_total alias")
+	}
+	if !declared["pqo_writer_wait_seconds_total"] || !perTemplate["pqo_writer_wait_seconds_total"]["t1"] {
+		t.Error("/metrics lacks pqo_writer_wait_seconds_total")
+	}
+}
+
 // TestRecostCacheMetrics drives a real template engine through /plan and
-// asserts the recost result cache reports a nonzero hit rate: every /plan
-// response recosts the decided plan at the request's selectivity vector, so
-// a repeated identical request must be answered from the cache.
+// asserts that /metrics, /stats and RecostCacheCounters agree on the recost
+// memo's hits and misses, and that the memo hits: a cost check that tries
+// several candidate instances bound to one plan recosts it once.
 func TestRecostCacheMetrics(t *testing.T) {
 	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	if err != nil {
@@ -284,18 +358,27 @@ func TestRecostCacheMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	for i := 0; i < 3; i++ {
-		if w, _ := postPlan(t, h, PlanRequest{Template: "q", SVector: []float64{0.02, 0.1}}); w.Code != http.StatusOK {
+	// Every vector is distinct, so no request repeats another: a memo hit
+	// can only come from one instance's cost check recosting a plan shared
+	// by two or more candidate instances.
+	rng := rand.New(rand.NewSource(5))
+	var hits, misses int64
+	for i := 0; i < 400 && hits == 0; i++ {
+		sv := []float64{math.Pow(10, -3*rng.Float64()), math.Pow(10, -3*rng.Float64())}
+		before := scr.Stats().GetPlanRecosts
+		if w, _ := postPlan(t, h, PlanRequest{Template: "q", SVector: sv}); w.Code != http.StatusOK {
 			t.Fatalf("/plan %d: status %d body %s", i, w.Code, w.Body)
 		}
+		hits, misses = eng.RecostCacheCounters()
+		if n := scr.Stats().GetPlanRecosts - before; hits > 0 && n < 2 {
+			t.Errorf("first memo hit came from a request with %d cost-check recosts, want >= 2", n)
+		}
 	}
-
-	hits, misses := eng.RecostCacheCounters()
 	if hits == 0 {
-		t.Errorf("recost cache hits = 0 (misses = %d), want > 0", misses)
+		t.Errorf("recost memo hits = 0 (misses = %d), want > 0", misses)
 	}
 	if misses == 0 {
-		t.Errorf("recost cache misses = 0, want > 0 (first recost must miss)")
+		t.Errorf("recost memo misses = 0, want > 0 (first recost must miss)")
 	}
 
 	w := httptest.NewRecorder()
@@ -321,16 +404,6 @@ func TestRecostCacheMetrics(t *testing.T) {
 		t.Errorf("/stats recost cache hits = %+v, want %d", rows, hits)
 	}
 
-	// Flushing drops entries but preserves counters; the next identical
-	// request misses once and repopulates.
-	eng.FlushRecostCache()
-	if w, _ := postPlan(t, h, PlanRequest{Template: "q", SVector: []float64{0.02, 0.1}}); w.Code != http.StatusOK {
-		t.Fatal("post-flush /plan failed")
-	}
-	_, misses2 := eng.RecostCacheCounters()
-	if misses2 <= misses {
-		t.Errorf("post-flush misses = %d, want > %d", misses2, misses)
-	}
 }
 
 func TestSnapshotDisabled(t *testing.T) {

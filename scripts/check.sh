@@ -21,6 +21,11 @@ go build ./...
 # inter-test state dependencies fail loudly instead of by luck of the
 # default order.
 go test -shuffle=on ./...
+# perfbench/ is its own module, so `./...` above never builds it; run its
+# tests here so an engine or core API change it consumes fails tier 1
+# instead of surfacing only when the benchmark runs. GOPROXY=off: its only
+# dependency is this module, through a replace directive.
+(cd perfbench && GOPROXY=off go test ./...)
 go test -race ./internal/core/ ./internal/server/ ./internal/engine/ \
     ./internal/baselines/ ./internal/harness/ ./internal/memo/ \
     ./internal/faultinject/ ./internal/cluster/
