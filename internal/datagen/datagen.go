@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/catalog"
 )
@@ -20,7 +19,8 @@ import (
 // Row is one generated tuple; Row[i] is the value of table column i.
 type Row []float64
 
-// Generator produces rows for the tables of one catalog.
+// Generator produces rows for the tables of one catalog. It is immutable,
+// so its methods are safe for concurrent use.
 type Generator struct {
 	cat  *catalog.Catalog
 	seed int64
@@ -75,6 +75,19 @@ func (g *Generator) Rows(table string, n int) ([]Row, error) {
 // ColumnSample generates n values drawn from the named column's
 // distribution, sorted ascending. It is the input to histogram construction.
 func (g *Generator) ColumnSample(table, column string, n int) ([]float64, error) {
+	vals, err := g.ColumnValues(table, column, n)
+	if err != nil {
+		return nil, err
+	}
+	SortFloat64s(vals)
+	return vals, nil
+}
+
+// ColumnValues generates the values ColumnSample returns, in the order they
+// were drawn. The draws are seeded by the table and column name alone, so a
+// column's sample does not depend on which other columns are sampled, or
+// in what order.
+func (g *Generator) ColumnValues(table, column string, n int) ([]float64, error) {
 	t := g.cat.Table(table)
 	if t == nil {
 		return nil, fmt.Errorf("datagen: unknown table %q in catalog %s", table, g.cat.Name)
@@ -92,7 +105,6 @@ func (g *Generator) ColumnSample(table, column string, n int) ([]float64, error)
 	for i := range vals {
 		vals[i] = s.next(rng, i)
 	}
-	sort.Float64s(vals)
 	return vals, nil
 }
 

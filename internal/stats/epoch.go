@@ -3,6 +3,8 @@ package stats
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/datagen"
 )
 
 // Epoch is one generation of the statistics lifecycle: a monotonically
@@ -30,7 +32,8 @@ type Epoch struct {
 }
 
 // HistogramDelta replaces the histogram of one column: the raw sample
-// values are sorted and rebuilt into an equi-depth histogram with
+// values, which must all be finite, are sorted and rebuilt into an
+// equi-depth histogram with
 // DefaultBuckets resolution (or Buckets when positive). It is the unit of
 // an incremental statistics update — the online alternative to rebuilding
 // a full Store.
@@ -63,8 +66,12 @@ func (s *Store) Apply(deltas []HistogramDelta) (*Store, error) {
 		if len(d.Values) == 0 {
 			return nil, fmt.Errorf("stats: delta for %s has no values", key)
 		}
+		// Checked before sorting, so the index is the caller's.
+		if err := checkFinite(d.Values); err != nil {
+			return nil, fmt.Errorf("stats: delta for %s: %w", key, err)
+		}
 		vals := append([]float64(nil), d.Values...)
-		sort.Float64s(vals)
+		datagen.SortFloat64s(vals)
 		buckets := d.Buckets
 		if buckets <= 0 {
 			buckets = DefaultBuckets

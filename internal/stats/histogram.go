@@ -36,13 +36,19 @@ type Histogram struct {
 
 // BuildHistogram constructs an equi-depth histogram with the given number of
 // buckets from an ascending-sorted sample. It returns an error if the sample
-// is empty, unsorted, or buckets is non-positive.
+// is empty, unsorted or holds a NaN or infinite value, or if buckets is
+// non-positive. A non-finite value has no place in a histogram: NaN compares
+// false against every bound, and an infinite bound turns the interpolation
+// in fractionBelow into NaN.
 func BuildHistogram(sorted []float64, buckets int) (*Histogram, error) {
 	if len(sorted) == 0 {
 		return nil, fmt.Errorf("stats: empty sample")
 	}
 	if buckets <= 0 {
 		return nil, fmt.Errorf("stats: non-positive bucket count %d", buckets)
+	}
+	if err := checkFinite(sorted); err != nil {
+		return nil, err
 	}
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i-1] > sorted[i] {
@@ -76,6 +82,16 @@ func BuildHistogram(sorted []float64, buckets int) (*Histogram, error) {
 		h.cum[i] = float64(le) / float64(len(sorted))
 	}
 	return h, nil
+}
+
+// checkFinite returns an error naming the first NaN or infinite value.
+func checkFinite(vals []float64) error {
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("stats: non-finite sample value %v at index %d", v, i)
+		}
+	}
+	return nil
 }
 
 // Buckets returns the number of buckets.

@@ -1,8 +1,13 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/datagen"
 )
 
 // Edge-case coverage for the cumulative-prefix histogram estimator:
@@ -130,5 +135,40 @@ func TestCumPrefixInvariants(t *testing.T) {
 		if got < MinSelectivity || got > 1 {
 			t.Fatalf("SelectivityLE(%v) = %v outside [floor, 1]", v, got)
 		}
+	}
+}
+
+// TestNonFiniteSamplesRejected: a NaN or infinite sample value must fail
+// the build, both through BuildHistogram and through Store.Apply, with
+// the offending index (and for Apply, the column) named. Accepted, [1,
+// NaN, 3, 4] gave Min()=NaN and SelectivityLE(0)=0.5, and [-Inf, 1, 2]
+// gave SelectivityLE(0)=NaN.
+func TestNonFiniteSamplesRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	st, err := Build(catalog.NewTPCH(0.01), datagen.New(catalog.NewTPCH(0.01), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		values []float64
+		index  int
+	}{
+		{"nan", []float64{1, nan, 3, 4}, 1},
+		{"leading-nan", []float64{nan, 1, 2}, 0},
+		{"neg-inf", []float64{-inf, 1, 2}, 0},
+		{"pos-inf", []float64{1, 2, inf}, 2},
+		{"unsorted-inf", []float64{3, inf, 1, -inf}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantIdx := fmt.Sprintf("index %d", tc.index)
+			if _, err := BuildHistogram(tc.values, 2); err == nil || !strings.Contains(err.Error(), wantIdx) {
+				t.Errorf("BuildHistogram(%v) error = %v, want one naming %q", tc.values, err, wantIdx)
+			}
+			_, err := st.Apply([]HistogramDelta{{Table: "orders", Column: "o_totalprice", Values: tc.values}})
+			if err == nil || !strings.Contains(err.Error(), "orders.o_totalprice") || !strings.Contains(err.Error(), wantIdx) {
+				t.Errorf("Apply(%v) error = %v, want one naming orders.o_totalprice and %q", tc.values, err, wantIdx)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/datagen"
+	"repro/internal/par"
 )
 
 // Store holds the histograms for every (table, column) of a catalog and
@@ -25,26 +26,43 @@ const (
 )
 
 // Build constructs a statistics store for every column of every table in
-// cat, sampling values with gen.
+// cat, sampling values with gen. Columns are sampled and bucketed in
+// parallel (package par): each column's sample is seeded by its own name,
+// so the store does not depend on scheduling, and the error returned is
+// that of the first failing column in catalog order.
 func Build(cat *catalog.Catalog, gen *datagen.Generator) (*Store, error) {
-	s := &Store{cat: cat, hists: make(map[string]*Histogram)}
+	type job struct {
+		table, column string
+		sample        int
+	}
+	var jobs []job
 	for _, t := range cat.Tables() {
 		sample := DefaultSampleSize
 		if int64(sample) > t.Rows {
 			sample = int(t.Rows)
 		}
 		for _, col := range t.Columns {
-			vals, err := gen.ColumnSample(t.Name, col.Name, sample)
-			if err != nil {
-				return nil, fmt.Errorf("stats: sampling %s.%s: %w", t.Name, col.Name, err)
-			}
-			buckets := DefaultBuckets
-			h, err := BuildHistogram(vals, buckets)
-			if err != nil {
-				return nil, fmt.Errorf("stats: histogram for %s.%s: %w", t.Name, col.Name, err)
-			}
-			s.hists[t.Name+"."+col.Name] = h
+			jobs = append(jobs, job{t.Name, col.Name, sample})
 		}
+	}
+	hists := make([]*Histogram, len(jobs))
+	err := par.Do(len(jobs), func(i int) error {
+		j := jobs[i]
+		vals, err := gen.ColumnSample(j.table, j.column, j.sample)
+		if err != nil {
+			return fmt.Errorf("stats: sampling %s.%s: %w", j.table, j.column, err)
+		}
+		if hists[i], err = BuildHistogram(vals, DefaultBuckets); err != nil {
+			return fmt.Errorf("stats: histogram for %s.%s: %w", j.table, j.column, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s := &Store{cat: cat, hists: make(map[string]*Histogram, len(jobs))}
+	for i, j := range jobs {
+		s.hists[j.table+"."+j.column] = hists[i]
 	}
 	return s, nil
 }

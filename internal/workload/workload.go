@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"repro/internal/engine"
+	"repro/internal/par"
 	"repro/internal/query"
 )
 
@@ -83,19 +84,27 @@ func logUniform(rng *rand.Rand, lo, hi float64) float64 {
 
 // Prepare fills in each instance's ground truth — optimal cost and optimal
 // plan fingerprint — by optimizing it (the paper does the same offline pass
-// to construct orderings, Appendix H.1). The engine's accounting is left
-// untouched beyond the calls themselves; callers that need clean technique
-// accounting should use a separate engine or reset timings afterwards.
+// to construct orderings, Appendix H.1). Instances are optimized in
+// parallel (package par) and each result is written by index, so the
+// output is in input order; on failure the error names the lowest-index
+// failing instance. The engine's accounting is left untouched beyond the
+// calls themselves; callers that need clean technique accounting should
+// use a separate engine or reset timings afterwards.
 func Prepare(eng *engine.TemplateEngine, insts []Instance) ([]Instance, error) {
 	out := make([]Instance, len(insts))
-	for i, q := range insts {
+	err := par.Do(len(insts), func(i int) error {
+		q := insts[i]
 		cp, c, err := eng.Optimize(q.SV)
 		if err != nil {
-			return nil, fmt.Errorf("workload: preparing instance %d: %w", i, err)
+			return fmt.Errorf("workload: preparing instance %d: %w", i, err)
 		}
 		q.OptCost = c
 		q.OptFP = cp.Fingerprint()
 		out[i] = q
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

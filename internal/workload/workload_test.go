@@ -2,11 +2,13 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/query"
+	"repro/internal/suite"
 )
 
 func TestGenerateSetErrors(t *testing.T) {
@@ -269,6 +271,68 @@ func TestOrderingString(t *testing.T) {
 	for o, want := range names {
 		if o.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(o), o.String(), want)
+		}
+	}
+}
+
+// TestPrepareMatchesSequentialOptimize: the parallel Prepare must give
+// every instance exactly the optimal cost and plan a one-after-another
+// eng.Optimize loop gives it, at the instance's own index, on suite
+// templates of two and four dimensions.
+func TestPrepareMatchesSequentialOptimize(t *testing.T) {
+	sys, err := suite.NewSystems(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := suite.Build(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []suite.Entry{ents[0], ents[len(ents)-1]} {
+		eng, err := e.Sys.EngineFor(e.Tpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts, err := GenerateSet(e.Tpl.Dimensions(), 120, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared, err := Prepare(eng, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range insts {
+			cp, c, err := eng.Optimize(q.SV)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := prepared[i]
+			if math.Float64bits(got.OptCost) != math.Float64bits(c) || got.OptFP != cp.Fingerprint() {
+				t.Fatalf("%s instance %d: Prepare gave (%v, %s), sequential Optimize (%v, %s)",
+					e.Tpl.Name, i, got.OptCost, got.OptFP, c, cp.Fingerprint())
+			}
+		}
+	}
+}
+
+// TestPrepareReportsLowestFailingInstance: with malformed vectors at
+// indices 3 and 7, Prepare fails naming instance 3, as a sequential loop
+// would, however the workers interleave.
+func TestPrepareReportsLowestFailingInstance(t *testing.T) {
+	eng, _ := testEngine(t)
+	insts, err := GenerateSet(2, 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts[3].SV = []float64{0.1}
+	insts[7].SV = []float64{0.1, 0.2, 0.3}
+	for trial := 0; trial < 20; trial++ {
+		out, err := Prepare(eng, insts)
+		if err == nil || !strings.Contains(err.Error(), "instance 3:") {
+			t.Fatalf("trial %d: error = %v, want one naming instance 3", trial, err)
+		}
+		if out != nil {
+			t.Fatalf("trial %d: failed Prepare returned instances", trial)
 		}
 	}
 }

@@ -28,7 +28,8 @@ go test -shuffle=on ./...
 (cd perfbench && GOPROXY=off go test ./...)
 go test -race ./internal/core/ ./internal/server/ ./internal/engine/ \
     ./internal/baselines/ ./internal/harness/ ./internal/memo/ \
-    ./internal/faultinject/ ./internal/cluster/
+    ./internal/faultinject/ ./internal/cluster/ ./internal/par/ \
+    ./internal/datagen/ ./internal/stats/ ./internal/workload/
 
 run_lint() {
     # pqolint: the repo's invariant analyzers (docs/LINT.md). Driven through
