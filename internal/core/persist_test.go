@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/pqotest"
 	"repro/internal/query"
+	"repro/internal/suite"
 	"repro/internal/workload"
 )
 
@@ -95,6 +96,57 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	if extra := s2.Stats().OptCalls - optBefore; extra > int64(len(insts))/4 {
 		t.Errorf("imported cache still needed %d optimizer calls on the warm-up set", extra)
+	}
+}
+
+// TestExportImportSuitePlans: the optimizer's plans for every suite
+// template pass the plan checks Import applies, and an imported cache
+// exports exactly what was imported.
+func TestExportImportSuitePlans(t *testing.T) {
+	sys, err := suite.NewSystems(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := suite.Build(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range ents {
+		eng, err := e.Sys.EngineFor(e.Tpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1, err := NewSCR(eng, Config{Lambda: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts, err := workload.GenerateSet(e.Tpl.Dimensions(), 24, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range insts {
+			if _, err := s1.Process(context.Background(), q.SV); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := s1.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := NewSCR(eng, Config{Lambda: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Import(data); err != nil {
+			t.Fatalf("%s: %v", e.Tpl.Name, err)
+		}
+		again, err := s2.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("%s: re-export differs from the imported snapshot", e.Tpl.Name)
+		}
 	}
 }
 

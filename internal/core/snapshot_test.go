@@ -16,12 +16,12 @@ import (
 // index arrays. Atomic fields (anchor, usage, quarantine) are the designed
 // mutable channel and are deliberately excluded.
 type snapshotFingerprint struct {
-	version  int64
-	epoch    uint64
-	insts    []*instanceEntry
-	vecs     [][]float64
-	pps      []*planEntry
-	plans    []*planEntry
+	version int64
+	epoch   uint64
+	insts   []*instanceEntry
+	vecs    [][]float64
+	pps     []*planEntry
+	plans   []*planEntry
 	idxKeys []float64
 	idxEnts []*instanceEntry
 	idxPos  []int32

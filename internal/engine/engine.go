@@ -97,6 +97,21 @@ func (e *TemplateEngine) OptimizeEpoch(sv []float64) (*CachedPlan, float64, uint
 	return &CachedPlan{Plan: p, SM: sm}, c, epoch, nil
 }
 
+// OptimalCost is the ground-truth optimizer call: the cost and fingerprint
+// of the plan Optimize would return, written over buf[:0] (see
+// memo.Optimizer.OptimalCost), with the same call and time accounting but
+// no plan tree and no shrunken memo.
+func (e *TemplateEngine) OptimalCost(sv []float64, buf []byte) (float64, []byte, error) {
+	start := time.Now()
+	c, fp, _, err := e.Opt.OptimalCost(e.Tpl, sv, buf)
+	if err != nil {
+		return 0, fp, err
+	}
+	e.optNanos.Add(time.Since(start).Nanoseconds())
+	e.optCalls.Add(1)
+	return c, fp, nil
+}
+
 // Recost computes the cost of a cached plan at sv via its shrunken memo.
 // Callers recosting several plans for one instance should batch through
 // PrepareRecost instead.
@@ -225,10 +240,16 @@ func (s *System) ResampleStats(seed int64) (*stats.Store, error) {
 
 // Rehydrate rebuilds a CachedPlan (including its shrunken-memo recost
 // representation) from a bare plan tree — used when importing a persisted
-// plan cache.
+// plan cache. The tree comes from outside the process, so it must first
+// pass memo.VerifyPlan: a node field the fingerprint does not cover, such
+// as an index's clustered flag, that disagrees with the catalog and
+// template is rejected with an error naming the node and the field.
 func (e *TemplateEngine) Rehydrate(p *plan.Plan) (*CachedPlan, error) {
 	if p == nil || p.Root == nil {
 		return nil, fmt.Errorf("engine: rehydrate of nil plan")
+	}
+	if err := memo.VerifyPlan(e.Tpl, p); err != nil {
+		return nil, fmt.Errorf("engine: rehydrating a plan for %s: %w", e.Tpl.Name, err)
 	}
 	sm, err := memo.NewShrunkenMemo(e.Opt, p, e.Tpl)
 	if err != nil {

@@ -205,6 +205,38 @@ func TestRecostWallClockCheaperThanOptimize(t *testing.T) {
 	}
 }
 
+// TestOptimalCostMatchesOptimize: the engine's ground-truth call returns
+// Optimize's cost and fingerprint and is accounted as one optimizer call.
+func TestOptimalCostMatchesOptimize(t *testing.T) {
+	sys, tpl := testSystem(t)
+	eng, err := sys.EngineFor(tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for _, sv := range [][]float64{{0.03, 0.2}, {1e-4, 0.9}, {0.8, 0.8}} {
+		cp, c, err := eng.Optimize(sv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, before, _ := eng.Timing()
+		var got float64
+		got, buf, err = eng.OptimalCost(sv, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, after, _ := eng.Timing(); after != before+1 {
+			t.Errorf("sv %v: OptimalCost counted %d optimizer calls, want 1", sv, after-before)
+		}
+		if math.Float64bits(got) != math.Float64bits(c) || string(buf) != cp.Fingerprint() {
+			t.Errorf("sv %v: OptimalCost gave (%v, %s), Optimize (%v, %s)", sv, got, buf, c, cp.Fingerprint())
+		}
+	}
+	if _, _, err := eng.OptimalCost([]float64{0.1}, buf); err == nil {
+		t.Error("OptimalCost accepted a vector of the wrong dimension")
+	}
+}
+
 func TestRehydrateRoundTrip(t *testing.T) {
 	sys, tpl := testSystem(t)
 	eng, err := sys.EngineFor(tpl)

@@ -74,8 +74,8 @@ func TestBatchedRecostZeroAllocs(t *testing.T) {
 // TestOptimizeAllocBudget pins Optimize's per-call allocation count. The
 // seed implementation allocated ~141 times per 3-way call (a map of groups,
 // a node per offered candidate, BFS scratch); the flat-array search with a
-// winner-only arena needs a small constant number. The budget leaves slack
-// for the plan wrapper, arena and fingerprint building.
+// winner-only arena needs four: the node arena, the children array, the
+// Plan and its exact-size fingerprint string. The budget leaves 2 of slack.
 func TestOptimizeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -86,12 +86,35 @@ func TestOptimizeAllocBudget(t *testing.T) {
 	if _, _, err := r.opt.Optimize(tpl, sv); err != nil { // warm pools + meta
 		t.Fatal(err)
 	}
-	const budget = 25
+	const budget = 6
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, _, err := r.opt.Optimize(tpl, sv); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > budget {
 		t.Errorf("Optimize allocates %.1f per run, budget %d", allocs, budget)
+	}
+}
+
+// TestOptimalCostZeroAllocs: the ground-truth call builds no plan, so with
+// a warm fingerprint buffer it allocates nothing.
+func TestOptimalCostZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	r := newRig(t)
+	tpl := r.threeWay(t)
+	_, buf, _, err := r.opt.OptimalCost(tpl, benchSVs[0], nil) // warm pools, meta and buf
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, buf, _, err = r.opt.OptimalCost(tpl, benchSVs[i%len(benchSVs)], buf); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("OptimalCost allocates %.1f per run, want 0", allocs)
 	}
 }

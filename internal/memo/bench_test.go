@@ -31,6 +31,23 @@ func BenchmarkOptimize(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimalCost measures the ground-truth optimizer call on the
+// 3-way template: the same search as BenchmarkOptimize, ending in a
+// fingerprint written to a reused buffer instead of a plan tree.
+func BenchmarkOptimalCost(b *testing.B) {
+	r := newRig(b)
+	tpl := r.threeWay(b)
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, buf, _, err = r.opt.OptimalCost(tpl, benchSVs[i%len(benchSVs)], buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRecost measures the shrunken-memo Recost API — the hot path of
 // the SCR cost check (§4.2: one recost per cost-check candidate).
 func BenchmarkRecost(b *testing.B) {

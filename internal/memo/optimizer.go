@@ -210,26 +210,79 @@ func (o *Optimizer) OptimizeEpoch(tpl *query.Template, sv []float64) (*plan.Plan
 	return p, c, env.EpochID(), err
 }
 
+// OptimalCost is the ground-truth form of OptimizeEpoch: the cheapest
+// plan's cost, its fingerprint and the statistics epoch the search ran
+// under, without building the plan tree. The fingerprint equals
+// Optimize(tpl, sv).Fingerprint(); it is written over buf[:0], and the
+// returned slice is buf grown as needed, so a caller reusing it across calls
+// allocates nothing in steady state. The search, its error cases and its
+// counters are those of Optimize.
+func (o *Optimizer) OptimalCost(tpl *query.Template, sv []float64, buf []byte) (float64, []byte, uint64, error) {
+	env, err := o.PrepareEnv(tpl, sv)
+	if err != nil {
+		return 0, buf[:0], 0, err
+	}
+	defer o.ReleaseEnv(env)
+	sc, w, err := o.search(tpl, env)
+	if err != nil {
+		return 0, buf[:0], 0, err
+	}
+	defer releaseSearchCtx(sc)
+	return w.total, sc.appendFingerprint(buf[:0], w), env.EpochID(), nil
+}
+
 // optimizeWith runs the plan search against an already-prepared
-// environment.
+// environment and materializes the winner.
 func (o *Optimizer) optimizeWith(tpl *query.Template, env *Env) (*plan.Plan, float64, error) {
+	sc, w, err := o.search(tpl, env)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer releaseSearchCtx(sc)
+	return plan.New(tpl.Name, sc.materialize(w)), w.total, nil
+}
+
+// winner locates a search's result in its candidate graph: the top group,
+// the index of its cheapest candidate, the aggregate placed over it (-1 for
+// none) and the total cost.
+type winner struct {
+	full  uint32
+	idx   int32
+	n     int
+	agg   plan.OpType
+	total float64
+}
+
+// search is the plan search shared by Optimize and OptimalCost. On success
+// it returns the scratch context holding the candidate graph, which the
+// caller reads the winner from and then releases; on error the context is
+// already released.
+func (o *Optimizer) search(tpl *query.Template, env *Env) (*searchCtx, winner, error) {
 	atomic.AddInt64(&o.optCalls, 1)
 
 	n := len(tpl.Tables)
 	if n > maxJoinTables {
-		return nil, 0, fmt.Errorf("memo: template %s joins %d tables; limit is %d", tpl.Name, n, maxJoinTables)
+		return nil, winner{}, fmt.Errorf("memo: template %s joins %d tables; limit is %d", tpl.Name, n, maxJoinTables)
 	}
-	m := env.meta
-
 	sc := acquireSearchCtx(n)
-	defer releaseSearchCtx(sc)
+	w, err := o.searchIn(sc, tpl, env)
+	if err != nil {
+		releaseSearchCtx(sc)
+		return nil, winner{}, err
+	}
+	return sc, w, nil
+}
+
+// searchIn fills sc's groups bottom-up and picks the winner.
+func (o *Optimizer) searchIn(sc *searchCtx, tpl *query.Template, env *Env) (winner, error) {
+	n, m := len(tpl.Tables), env.meta
 	exprCosted := int64(0)
 
 	// Leaf groups: access-path selection per table.
 	for i := range m.tables {
 		mt := &m.tables[i]
 		if mt.tab == nil {
-			return nil, 0, fmt.Errorf("memo: template %s references unknown table %s", tpl.Name, mt.name)
+			return winner{}, fmt.Errorf("memo: template %s references unknown table %s", tpl.Name, mt.name)
 		}
 		g := &sc.groups[1<<uint(i)]
 		rows := float64(mt.tab.Rows)
@@ -363,67 +416,104 @@ func (o *Optimizer) optimizeWith(tpl *query.Template, env *Env) (*plan.Plan, flo
 	top := &sc.groups[full]
 	if len(top.winners) == 0 {
 		atomic.AddInt64(&o.exprCosted, exprCosted)
-		return nil, 0, fmt.Errorf("memo: no plan found for template %s", tpl.Name)
+		return winner{}, fmt.Errorf("memo: no plan found for template %s", tpl.Name)
 	}
 	bi := top.bestIdx()
 	best := &top.winners[bi]
-	total := best.cst
-
-	aggOp := plan.OpType(-1)
+	w := winner{full: full, idx: int32(bi), n: n, agg: -1, total: best.cst}
 	if tpl.Agg == query.GroupBy {
 		inCard := best.card
-		hashCost := total + o.Model.HashAggCost(inCard)
-		streamCost := total + o.Model.StreamAggCost(inCard)
+		hashCost := w.total + o.Model.HashAggCost(inCard)
+		streamCost := w.total + o.Model.StreamAggCost(inCard)
 		exprCosted += 2
 		if hashCost <= streamCost {
-			aggOp = plan.HashAgg
-			total = hashCost
+			w.agg, w.total = plan.HashAgg, hashCost
 		} else {
-			aggOp = plan.StreamAgg
-			total = streamCost
+			w.agg, w.total = plan.StreamAgg, streamCost
 		}
 	}
 	atomic.AddInt64(&o.exprCosted, exprCosted)
-	if math.IsNaN(total) || math.IsInf(total, 0) || total <= 0 {
-		return nil, 0, fmt.Errorf("memo: degenerate plan cost %v for template %s", total, tpl.Name)
+	if math.IsNaN(w.total) || math.IsInf(w.total, 0) || w.total <= 0 {
+		return winner{}, fmt.Errorf("memo: degenerate plan cost %v for template %s", w.total, tpl.Name)
 	}
-
-	root := sc.materialize(full, int32(bi), n, aggOp)
-	return plan.New(tpl.Name, root), total, nil
+	return w, nil
 }
 
 // materialize builds the winning plan tree from the candidate graph. All
 // nodes live in one arena allocated at exactly the plan's node count upper
-// bound (n leaves + n-1 joins + 1 aggregate), so only the winner pays node
-// allocations — never the losing candidates.
-func (sc *searchCtx) materialize(full uint32, bestIdx int32, n int, aggOp plan.OpType) *plan.Node {
-	arena := make([]plan.Node, 0, 2*n)
-	var build func(mask uint32, idx int32) *plan.Node
-	build = func(mask uint32, idx int32) *plan.Node {
-		c := &sc.groups[mask].winners[idx]
-		switch c.op {
-		case plan.TableScan:
-			arena = append(arena, plan.Node{Op: plan.TableScan, Table: c.table, ResidualPreds: c.residual})
-		case plan.IndexScan:
-			arena = append(arena, plan.Node{
-				Op: plan.IndexScan, Table: c.table, Index: c.index,
-				IndexColumn: c.indexColumn, Clustered: c.clustered,
-				ResidualPreds: c.residual,
-			})
-		default:
-			l := build(c.leftMask, c.leftIdx)
-			r := build(c.rightMask, c.rightIdx)
-			arena = append(arena, plan.Node{
-				Op: c.op, JoinCol: c.joinCol, RightJoinCol: c.rightJoinCol,
-				JoinSel: c.joinSel, Children: []*plan.Node{l, r},
-			})
-		}
-		return &arena[len(arena)-1]
+// bound (n leaves + n-1 joins + 1 aggregate), and all child pointers in one
+// slice, so only the winner pays allocations — never the losing candidates.
+func (sc *searchCtx) materialize(w winner) *plan.Node {
+	tb := treeBuilder{
+		sc:    sc,
+		arena: make([]plan.Node, 0, 2*w.n),
+		kids:  make([]*plan.Node, 0, 2*w.n-1),
 	}
-	root := build(full, bestIdx)
-	if aggOp >= 0 {
-		arena = append(arena, plan.Node{Op: aggOp, Children: []*plan.Node{root}})
-		root = &arena[len(arena)-1]
+	root := tb.build(w.full, w.idx)
+	if w.agg >= 0 {
+		root = tb.add(plan.Node{Op: w.agg}, root)
 	}
 	return root
+}
+
+// treeBuilder is materialize's state: the node arena and the shared
+// backing array of every node's Children.
+type treeBuilder struct {
+	sc    *searchCtx
+	arena []plan.Node
+	kids  []*plan.Node
+}
+
+func (tb *treeBuilder) build(mask uint32, idx int32) *plan.Node {
+	c := &tb.sc.groups[mask].winners[idx]
+	switch c.op {
+	case plan.TableScan:
+		return tb.add(plan.Node{Op: plan.TableScan, Table: c.table, ResidualPreds: c.residual})
+	case plan.IndexScan:
+		return tb.add(plan.Node{
+			Op: plan.IndexScan, Table: c.table, Index: c.index,
+			IndexColumn: c.indexColumn, Clustered: c.clustered,
+			ResidualPreds: c.residual,
+		})
+	default:
+		l := tb.build(c.leftMask, c.leftIdx)
+		r := tb.build(c.rightMask, c.rightIdx)
+		return tb.add(plan.Node{
+			Op: c.op, JoinCol: c.joinCol, RightJoinCol: c.rightJoinCol, JoinSel: c.joinSel,
+		}, l, r)
+	}
+}
+
+// add appends nd to the arena with the given children and returns it.
+func (tb *treeBuilder) add(nd plan.Node, children ...*plan.Node) *plan.Node {
+	if len(children) > 0 {
+		start := len(tb.kids)
+		tb.kids = append(tb.kids, children...)
+		nd.Children = tb.kids[start:len(tb.kids):len(tb.kids)]
+	}
+	tb.arena = append(tb.arena, nd)
+	return &tb.arena[len(tb.arena)-1]
+}
+
+// appendFingerprint appends the winner's fingerprint, read straight from
+// the candidate graph; it equals the materialized plan's Fingerprint().
+func (sc *searchCtx) appendFingerprint(b []byte, w winner) []byte {
+	if w.agg < 0 {
+		return sc.appendCandidate(b, w.full, w.idx)
+	}
+	b = plan.AppendAggOpen(b, w.agg)
+	b = sc.appendCandidate(b, w.full, w.idx)
+	return plan.AppendClose(b)
+}
+
+func (sc *searchCtx) appendCandidate(b []byte, mask uint32, idx int32) []byte {
+	c := &sc.groups[mask].winners[idx]
+	if c.op == plan.TableScan || c.op == plan.IndexScan {
+		return plan.AppendLeaf(b, c.op, c.table, c.index)
+	}
+	b = plan.AppendJoinOpen(b, c.op, c.joinCol, c.rightJoinCol)
+	b = sc.appendCandidate(b, c.leftMask, c.leftIdx)
+	b = plan.AppendChildSep(b)
+	b = sc.appendCandidate(b, c.rightMask, c.rightIdx)
+	return plan.AppendClose(b)
 }

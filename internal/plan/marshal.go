@@ -111,6 +111,9 @@ func nodeFromJSON(nj *nodeJSON) (*Node, error) {
 			nj.Op, len(nj.Children), wantChildren)
 	}
 	for _, cj := range nj.Children {
+		if cj == nil {
+			return nil, fmt.Errorf("plan: operator %s has a null child", nj.Op)
+		}
 		c, err := nodeFromJSON(cj)
 		if err != nil {
 			return nil, err

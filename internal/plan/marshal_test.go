@@ -58,6 +58,7 @@ func TestUnmarshalPlanErrors(t *testing.T) {
 		{"join arity", `{"template":"q","root":{"op":"HashJoin","children":[{"op":"TableScan","table":"a"}]}}`, "children"},
 		{"agg arity", `{"template":"q","root":{"op":"HashAgg"}}`, "children"},
 		{"leaf with children", `{"template":"q","root":{"op":"TableScan","table":"a","children":[{"op":"TableScan","table":"b"}]}}`, "children"},
+		{"null child", `{"template":"q","root":{"op":"HashJoin","children":[null,{"op":"TableScan","table":"b"}]}}`, "null child"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

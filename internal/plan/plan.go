@@ -8,7 +8,7 @@
 package plan
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -52,7 +52,7 @@ func (op OpType) String() string {
 	case StreamAgg:
 		return "StreamAgg"
 	default:
-		return fmt.Sprintf("Op(%d)", int(op))
+		return "Op(" + strconv.Itoa(int(op)) + ")"
 	}
 }
 
@@ -102,7 +102,14 @@ type Plan struct {
 // New wraps a root node into a Plan and precomputes its fingerprint.
 func New(templateName string, root *Node) *Plan {
 	p := &Plan{Root: root, TemplateName: templateName}
-	p.fingerprint = fingerprintNode(root)
+	if root == nil {
+		p.fingerprint = "nil"
+	} else {
+		// The tokens go to a stack buffer first, so the only allocation is
+		// the exact-size string.
+		var buf [512]byte
+		p.fingerprint = string(appendFingerprint(buf[:0], root))
+	}
 	return p
 }
 
@@ -110,32 +117,68 @@ func New(templateName string, root *Node) *Plan {
 // template with equal fingerprints are the same physical plan.
 func (p *Plan) Fingerprint() string { return p.fingerprint }
 
-func fingerprintNode(n *Node) string {
-	if n == nil {
-		return "nil"
+// The fingerprint grammar, written only through the Append helpers below so
+// the optimizer can emit a winner's fingerprint without building its tree:
+//
+//	leaf := TableScan(table) | IndexScan(table:index)
+//	join := Op[joinCol=rightJoinCol](outer,inner)
+//	agg  := Op(input)
+
+// AppendLeaf appends the fingerprint of a TableScan or IndexScan leaf; index
+// is ignored for a TableScan.
+func AppendLeaf(b []byte, op OpType, table, index string) []byte {
+	b = append(b, op.String()...)
+	b = append(b, '(')
+	b = append(b, table...)
+	if op == IndexScan {
+		b = append(b, ':')
+		b = append(b, index...)
 	}
-	var b strings.Builder
-	writeFingerprint(n, &b)
-	return b.String()
+	return append(b, ')')
 }
 
-func writeFingerprint(n *Node, b *strings.Builder) {
-	b.WriteString(n.Op.String())
+// AppendJoinOpen appends a join's fingerprint up to its outer input. The
+// caller appends the outer input, AppendChildSep, the inner input and
+// AppendClose.
+func AppendJoinOpen(b []byte, op OpType, joinCol, rightJoinCol string) []byte {
+	b = append(b, op.String()...)
+	b = append(b, '[')
+	b = append(b, joinCol...)
+	b = append(b, '=')
+	b = append(b, rightJoinCol...)
+	return append(b, ']', '(')
+}
+
+// AppendAggOpen appends an aggregate's fingerprint up to its input. The
+// caller appends the input and AppendClose.
+func AppendAggOpen(b []byte, op OpType) []byte {
+	b = append(b, op.String()...)
+	return append(b, '(')
+}
+
+// AppendChildSep appends the separator between a join's two inputs.
+func AppendChildSep(b []byte) []byte { return append(b, ',') }
+
+// AppendClose closes a join or aggregate opened by AppendJoinOpen or
+// AppendAggOpen.
+func AppendClose(b []byte) []byte { return append(b, ')') }
+
+func appendFingerprint(b []byte, n *Node) []byte {
 	switch n.Op {
-	case TableScan:
-		fmt.Fprintf(b, "(%s)", n.Table)
-	case IndexScan:
-		fmt.Fprintf(b, "(%s:%s)", n.Table, n.Index)
+	case TableScan, IndexScan:
+		return AppendLeaf(b, n.Op, n.Table, n.Index)
 	case NLJoin, HashJoin, MergeJoin:
-		fmt.Fprintf(b, "[%s=%s](", n.JoinCol, n.RightJoinCol)
-		writeFingerprint(n.Children[0], b)
-		b.WriteString(",")
-		writeFingerprint(n.Children[1], b)
-		b.WriteString(")")
+		b = AppendJoinOpen(b, n.Op, n.JoinCol, n.RightJoinCol)
+		b = appendFingerprint(b, n.Children[0])
+		b = AppendChildSep(b)
+		b = appendFingerprint(b, n.Children[1])
+		return AppendClose(b)
 	case HashAgg, StreamAgg:
-		b.WriteString("(")
-		writeFingerprint(n.Children[0], b)
-		b.WriteString(")")
+		b = AppendAggOpen(b, n.Op)
+		b = appendFingerprint(b, n.Children[0])
+		return AppendClose(b)
+	default:
+		return append(b, n.Op.String()...)
 	}
 }
 
@@ -178,11 +221,12 @@ func (p *Plan) String() string {
 		b.WriteString(strings.Repeat("  ", depth))
 		switch n.Op {
 		case TableScan:
-			fmt.Fprintf(&b, "TableScan %s", n.Table)
+			b.WriteString("TableScan " + n.Table)
 		case IndexScan:
-			fmt.Fprintf(&b, "IndexScan %s via %s(%s)", n.Table, n.Index, n.IndexColumn)
+			b.WriteString("IndexScan " + n.Table + " via " + n.Index + "(" + n.IndexColumn + ")")
 		case NLJoin, HashJoin, MergeJoin:
-			fmt.Fprintf(&b, "%s on %s (joinSel=%.3g)", n.Op, n.JoinCol, n.JoinSel)
+			b.WriteString(n.Op.String() + " on " + n.JoinCol +
+				" (joinSel=" + strconv.FormatFloat(n.JoinSel, 'g', 3, 64) + ")")
 		default:
 			b.WriteString(n.Op.String())
 		}

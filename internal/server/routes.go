@@ -155,9 +155,9 @@ func methodAllowed(got, want string) bool {
 
 // openAPIDoc is the minimal OpenAPI 3 document shape the server emits.
 type openAPIDoc struct {
-	OpenAPI string                  `json:"openapi"`
-	Info    openAPIInfo             `json:"info"`
-	Paths   map[string]openAPIPath  `json:"paths"`
+	OpenAPI string                 `json:"openapi"`
+	Info    openAPIInfo            `json:"info"`
+	Paths   map[string]openAPIPath `json:"paths"`
 }
 
 type openAPIInfo struct {

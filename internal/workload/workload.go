@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/par"
@@ -82,24 +83,45 @@ func logUniform(rng *rand.Rand, lo, hi float64) float64 {
 	return math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
 }
 
+// fpBufs holds the fingerprint buffers Prepare's workers write into.
+var fpBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Prepare fills in each instance's ground truth — optimal cost and optimal
 // plan fingerprint — by optimizing it (the paper does the same offline pass
-// to construct orderings, Appendix H.1). Instances are optimized in
-// parallel (package par) and each result is written by index, so the
-// output is in input order; on failure the error names the lowest-index
-// failing instance. The engine's accounting is left untouched beyond the
-// calls themselves; callers that need clean technique accounting should
-// use a separate engine or reset timings afterwards.
+// to construct orderings, Appendix H.1). It asks the engine for the
+// optimum only (TemplateEngine.OptimalCost), so no plan tree or recost
+// representation is built, and instances with the same optimal plan share
+// one fingerprint string. Instances are optimized in parallel (package
+// par) and each result is written by index, so the output is in input
+// order and equals that of a sequential Optimize loop; on failure the
+// error names the lowest-index failing instance. The engine's accounting
+// is left untouched beyond the calls themselves; callers that need clean
+// technique accounting should use a separate engine or reset timings
+// afterwards.
 func Prepare(eng *engine.TemplateEngine, insts []Instance) ([]Instance, error) {
 	out := make([]Instance, len(insts))
+	var (
+		mu  sync.Mutex
+		fps = make(map[string]string)
+	)
 	err := par.Do(len(insts), func(i int) error {
+		buf := fpBufs.Get().(*[]byte)
+		defer fpBufs.Put(buf)
 		q := insts[i]
-		cp, c, err := eng.Optimize(q.SV)
+		c, fp, err := eng.OptimalCost(q.SV, *buf)
+		*buf = fp
 		if err != nil {
 			return fmt.Errorf("workload: preparing instance %d: %w", i, err)
 		}
 		q.OptCost = c
-		q.OptFP = cp.Fingerprint()
+		mu.Lock()
+		s, ok := fps[string(fp)]
+		if !ok {
+			s = string(fp)
+			fps[s] = s
+		}
+		mu.Unlock()
+		q.OptFP = s
 		out[i] = q
 		return nil
 	})

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -124,6 +125,37 @@ func TestPrepareFillsGroundTruth(t *testing.T) {
 	}
 	if n := DistinctOptimalPlans(prepared); n < 2 {
 		t.Errorf("only %d distinct optimal plans over the bucketized set; expected diversity", n)
+	}
+}
+
+// TestPrepareSharesFingerprints: Prepare interns the optimal-plan
+// fingerprints, so instances with equal OptFP share one backing array and
+// there are exactly DistinctOptimalPlans backing arrays.
+func TestPrepareSharesFingerprints(t *testing.T) {
+	eng, _ := testEngine(t)
+	insts, err := GenerateSet(2, 200, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := Prepare(eng, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := make(map[string]*byte)
+	arrays := make(map[*byte]bool)
+	for i, q := range prepared {
+		data := unsafe.StringData(q.OptFP)
+		if first, ok := backing[q.OptFP]; ok && first != data {
+			t.Fatalf("instance %d: fingerprint %s has a second backing array", i, q.OptFP)
+		}
+		backing[q.OptFP] = data
+		arrays[data] = true
+	}
+	if got, want := len(arrays), DistinctOptimalPlans(prepared); got != want {
+		t.Errorf("%d fingerprint backing arrays, want one per distinct plan (%d)", got, want)
+	}
+	if len(arrays) < 2 {
+		t.Errorf("only %d distinct optimal plans; the check needs several", len(arrays))
 	}
 }
 

@@ -1,11 +1,11 @@
 #!/bin/sh
-# Tier-1 verification: vet, build, run the full test suite, and re-run the
+# Tier-1 verification: gofmt, vet, build, run the full test suite, and re-run the
 # concurrency-sensitive packages under the race detector. The experiment
 # reproduction tests are minutes-long already and ~10x slower under -race
 # (they exceed go test's per-package timeout on small machines), so the
 # race pass targets the packages with concurrent hot paths.
 #
-#   ./scripts/check.sh          # vet + build + tests + targeted race pass
+#   ./scripts/check.sh          # gofmt + vet + build + tests + targeted race pass
 #   ./scripts/check.sh -lint    # additionally run pqolint + extra analyzers
 #   ./scripts/check.sh -bench   # additionally run the parallel benchmarks
 #   ./scripts/check.sh -chaos   # additionally run the full chaos profiles
@@ -15,6 +15,15 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Formatting gate: every Go file outside vendor/ and the dot-directories
+# (.git, the benchmark's build cache) must be gofmt-clean.
+unformatted=$(find . \( -path ./vendor -o -path './.*' \) -prune -o \
+    -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "check.sh: not gofmt-clean (run gofmt -w):" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 # -shuffle=on randomizes test (and subtest) execution order, so hidden
