@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -120,7 +122,7 @@ func (d *writeDomain) init(s *SCR) {
 func (d *writeDomain) lock() {
 	start := time.Now()
 	d.mu.Lock()
-	d.scr.ctr.writerWaitNs.Add(time.Since(start).Nanoseconds())
+	d.scr.ctr.hot.Add(hotWriterWaitNs, time.Since(start).Nanoseconds())
 }
 
 // unlock flushes any pending publication marks and releases the writer
@@ -203,8 +205,9 @@ func (d *writeDomain) flushLocked() {
 // k entries appended since that snapshot was built. The previous index is
 // already weight-sorted and the appended entries' scan positions all
 // follow the published ones, so sorting the k newcomers and merging —
-// previous entries first on weight ties — reproduces buildSelIndex's
-// stable sort exactly, in O(n + k log k).
+// previous entries first on weight ties — yields the index a stable sort
+// of all n entries by weight would, in O(n + k log k). With oldLen 0 it
+// is buildSelIndex.
 func mergeSelIndex(prev *selIndex, insts []*instanceEntry, oldLen int) selIndex {
 	n := len(insts)
 	k := n - oldLen
@@ -216,7 +219,14 @@ func mergeSelIndex(prev *selIndex, insts []*instanceEntry, oldLen int) selIndex 
 	for i := oldLen; i < n; i++ {
 		adds = append(adds, add{w: regionWeight(insts[i].v), pos: int32(i)})
 	}
-	sort.SliceStable(adds, func(a, b int) bool { return adds[a].w < adds[b].w })
+	// Weight, then scan position: a total order, so the unstable sort
+	// yields exactly the stable order by weight.
+	slices.SortFunc(adds, func(a, b add) int {
+		if c := cmp.Compare(a.w, b.w); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
 	idx := selIndex{
 		keys: make([]float64, 0, n),
 		ents: make([]*instanceEntry, 0, n),

@@ -41,4 +41,9 @@ var (
 	// (revalidation, epoch-tagged serving) was requested on an engine with
 	// no versioned-statistics surface (core.EpochEngine).
 	ErrEpochUnsupported = errors.New("pqo: engine has no statistics-epoch lifecycle")
+	// ErrInvalidVector reports a selectivity vector the checks cannot
+	// reason about: the wrong number of dimensions, or a component
+	// outside (0,1] (NaN and ±Inf included). Such a vector is rejected
+	// before it can reach the optimizer or be stored as an anchor.
+	ErrInvalidVector = errors.New("pqo: invalid selectivity vector")
 )

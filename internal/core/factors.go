@@ -34,6 +34,23 @@ func GLFactors(svE, svC []float64) (g, l float64, err error) {
 	return g, l, nil
 }
 
+// checkVector returns an ErrInvalidVector error unless sv is a
+// selectivity vector of dims components, each in (0,1]. Every entry point that can store a vector as
+// an anchor (Process, SeedInstance, Import) calls it first: GLFactors
+// rejects anything else, so one stored out-of-range anchor would fail
+// every later check that reaches it.
+func checkVector(sv []float64, dims int) error {
+	if len(sv) != dims {
+		return fmt.Errorf("%w: %d selectivities, template takes %d", ErrInvalidVector, len(sv), dims)
+	}
+	for i, x := range sv {
+		if !(x > 0 && x <= 1) {
+			return fmt.Errorf("%w: selectivity %v at dimension %d is outside (0,1]", ErrInvalidVector, x, i)
+		}
+	}
+	return nil
+}
+
 // SelectivityRegionArea returns the area of the 2-dimensional selectivity
 // based λ-optimal region around an instance with selectivities (s1, s2):
 // (λ − 1/λ)·ln λ · s1·s2 (§5.3). It is used by tests and by the heuristic

@@ -232,24 +232,31 @@ func newInstance(v []float64, pp *planEntry, c, s float64, u int64, epoch uint64
 	return e
 }
 
+// Indexes into counters.hot.
+const (
+	hotInstances = iota
+	hotReadPathHits
+	hotSelChecks
+	hotGetPlanRecosts
+	// hotWriterWaitNs accumulates time spent waiting to acquire a write
+	// domain's mutex (pqo_writer_wait_seconds_total).
+	hotWriterWaitNs
+)
+
 // counters are SCR's cumulative statistics. The counters every request
-// bumps on the lock-free read path are striped (stripe.Int64): a shared
-// atomic there would put all cores back on one cache line and re-
-// serialize the very path the RCU snapshot freed. Counters touched only
+// bumps on the lock-free read path live in one striped set (hot, indexed
+// by the hot* constants): a shared atomic there would put all cores back
+// on one cache line and re-serialize the very path the RCU snapshot
+// freed. The set costs one cache line per shard for all five, and a hit
+// that bumps several of them touches that one line. Counters touched only
 // on slow paths (optimizer calls, evictions, breaker transitions,
-// revalidation) stay plain atomics — striping them would buy nothing and
-// cost 4KiB each.
+// revalidation) stay plain atomics — striping them would buy nothing.
 type counters struct {
-	// Hot: bumped by every Process / selectivity check / cost check.
-	instances      stripe.Int64
-	readPathHits   stripe.Int64
-	selChecks      stripe.Int64
-	getPlanRecosts stripe.Int64
-	// writerWaitNs accumulates time spent waiting to acquire a write
-	// domain's mutex (pqo_writer_wait_seconds_total). Striped: under a
-	// miss-heavy load every Process may charge it, and the whole point of
-	// sharded write domains is that those writers not share a cache line.
-	writerWaitNs stripe.Int64
+	// hot holds the counters bumped by every Process / selectivity check /
+	// cost check, and the writer wait: under a miss-heavy load every
+	// Process may charge it, and the whole point of sharded write domains
+	// is that those writers not share a cache line. Allocated in NewSCR.
+	hot stripe.Set
 
 	// Cold: slow-path only.
 	optCalls       atomic.Int64
@@ -379,6 +386,7 @@ func NewSCR(eng Engine, cfg Config) (*SCR, error) {
 		return nil, err
 	}
 	s := &SCR{cfg: cfg, eng: eng}
+	s.ctr.hot = stripe.NewSet()
 	if ee, ok := eng.(EpochEngine); ok {
 		s.epochEng = ee
 	}
@@ -483,18 +491,18 @@ func (s *SCR) Name() string {
 func (s *SCR) Stats() Stats {
 	snap := s.snapshot()
 	st := Stats{
-		Instances:              s.ctr.instances.Load(),
+		Instances:              s.ctr.hot.Load(hotInstances),
 		OptCalls:               s.ctr.optCalls.Load(),
 		SharedOptCalls:         s.ctr.sharedOptCalls.Load(),
-		GetPlanRecosts:         s.ctr.getPlanRecosts.Load(),
+		GetPlanRecosts:         s.ctr.hot.Load(hotGetPlanRecosts),
 		ManageRecosts:          s.ctr.manageRecosts.Load(),
-		SelChecks:              s.ctr.selChecks.Load(),
+		SelChecks:              s.ctr.hot.Load(hotSelChecks),
 		Violations:             s.ctr.violations.Load(),
 		Evictions:              s.ctr.evictions.Load(),
 		RedundantPlansRejected: s.ctr.redundantPlans.Load(),
-		ReadPathHits:           s.ctr.readPathHits.Load(),
+		ReadPathHits:           s.ctr.hot.Load(hotReadPathHits),
 		WritePathHits:          s.ctr.writePathHits.Load(),
-		WriteLockWait:          time.Duration(s.ctr.writerWaitNs.Load()),
+		WriteLockWait:          time.Duration(s.ctr.hot.Load(hotWriterWaitNs)),
 		CurPlans:               len(snap.plans),
 		MaxPlans:               int(s.maxPlans.Load()),
 		WriteDomains:           1,
@@ -596,7 +604,10 @@ func (s *SCR) prepareEpoch(pi *engine.PreparedInstance) uint64 {
 // by the degraded-mode fallback (degrade.go) with Decision.Degraded set.
 // Context cancellation still errors — a cancelled caller wants no plan.
 func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err error) {
-	s.ctr.instances.Add(1)
+	if err := checkVector(sv, s.eng.Dimensions()); err != nil {
+		return nil, err
+	}
+	s.ctr.hot.Add(hotInstances, 1)
 	if err := ctx.Err(); err != nil {
 		return nil, cancelled(err)
 	}
@@ -622,7 +633,7 @@ func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err err
 	case err != nil:
 		return nil, err
 	case dec0 != nil:
-		s.ctr.readPathHits.Add(1)
+		s.ctr.hot.Add(hotReadPathHits, 1)
 		return s.flagSkew(dec0), nil
 	}
 
@@ -744,31 +755,11 @@ type selIndex struct {
 	pos  []int32          // ents[i]'s position in the snapshot's scan order
 }
 
-// buildSelIndex constructs the index over insts. Ties in region weight
-// keep scan order so the window walk below stays deterministic.
+// buildSelIndex constructs the index over insts from scratch: the merge
+// of an empty index with every entry. Ties in region weight keep scan
+// order so the window walk below stays deterministic.
 func buildSelIndex(insts []*instanceEntry) selIndex {
-	n := len(insts)
-	if n == 0 {
-		return selIndex{}
-	}
-	ord := make([]int32, n)
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		return regionWeight(insts[ord[a]].v) < regionWeight(insts[ord[b]].v)
-	})
-	idx := selIndex{
-		keys: make([]float64, n),
-		ents: make([]*instanceEntry, n),
-		pos:  ord,
-	}
-	for i, p := range ord {
-		e := insts[p]
-		idx.keys[i] = regionWeight(e.v)
-		idx.ents[i] = e
-	}
-	return idx
+	return mergeSelIndex(&selIndex{}, insts, 0)
 }
 
 // selWindowSlop widens the index window bounds multiplicatively to absorb
@@ -784,9 +775,8 @@ const selWindowSlop = 1e-9
 // (the SelChecks accounting), and (nil, n, nil) on a miss — which, by the
 // window invariant on selIndex, proves NO entry passes the selectivity
 // check, so the caller can go straight to cost-check candidate
-// collection. An invalid query vector yields an empty or garbage window;
-// the miss path's full scan surfaces the per-dimension validation error
-// exactly as before.
+// collection. Process rejects invalid query vectors before they get here
+// (checkVector); the weight guard below is defensive.
 func (s *SCR) selHit(snap *cacheSnapshot, sv []float64) (*Decision, int, error) {
 	idx := &snap.index
 	if len(idx.keys) == 0 {
@@ -841,7 +831,7 @@ func (s *SCR) selHit(snap *cacheSnapshot, sv []float64) (*Decision, int, error) 
 // while the background revalidator catches the cache up.
 func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*Decision, error) {
 	examined := 0
-	defer func() { s.ctr.selChecks.Add(int64(examined)) }()
+	defer func() { s.ctr.hot.Add(hotSelChecks, int64(examined)) }()
 
 	// Fast path: the indexed hit test. On the common warm-cache outcome —
 	// a selectivity-check hit — this touches O(log n) keys plus the
@@ -970,7 +960,7 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 			if err != nil {
 				return nil, err
 			}
-			s.ctr.getPlanRecosts.Add(1)
+			s.ctr.hot.Add(hotGetPlanRecosts, 1)
 			if recEpoch != c.a.epoch {
 				// Advanced mid-loop (per-call recost path only): this
 				// candidate's anchor and recost disagree on generation.
@@ -1119,8 +1109,8 @@ func (s *SCR) SeedInstance(sv []float64, cp *engine.CachedPlan, optCost, subOpt 
 	if cp == nil {
 		return fmt.Errorf("%w: seed with nil plan", ErrNoPlan)
 	}
-	if len(sv) != s.eng.Dimensions() {
-		return fmt.Errorf("core: seed sVector has %d dims, engine has %d", len(sv), s.eng.Dimensions())
+	if err := checkVector(sv, s.eng.Dimensions()); err != nil {
+		return fmt.Errorf("core: seed: %w", err)
 	}
 	if optCost <= 0 || subOpt < 1 || math.IsNaN(optCost) || math.IsNaN(subOpt) {
 		return fmt.Errorf("core: seed with invalid optCost=%v subOpt=%v", optCost, subOpt)

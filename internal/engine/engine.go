@@ -55,18 +55,24 @@ type TemplateEngine struct {
 	optCalls    atomic.Int64
 	recostCalls atomic.Int64
 
-	// memoHits / memoMisses count PreparedInstance memo lookups. Every
-	// cost-check recost bumps one, so they are striped.
-	memoHits   stripe.Int64
-	memoMisses stripe.Int64
+	// memoCtr counts PreparedInstance memo lookups (memoHit, memoMiss).
+	// Every cost-check recost bumps one, so they are striped. Allocated in
+	// NewTemplateEngine.
+	memoCtr stripe.Set
 }
+
+// Indexes into TemplateEngine.memoCtr.
+const (
+	memoHit = iota
+	memoMiss
+)
 
 // NewTemplateEngine builds an engine for tpl over an existing optimizer.
 func NewTemplateEngine(tpl *query.Template, opt *memo.Optimizer) (*TemplateEngine, error) {
 	if err := tpl.Validate(); err != nil {
 		return nil, err
 	}
-	return &TemplateEngine{Tpl: tpl, Opt: opt}, nil
+	return &TemplateEngine{Tpl: tpl, Opt: opt, memoCtr: stripe.NewSet()}, nil
 }
 
 // Dimensions returns the template's parameter count d.
@@ -147,7 +153,7 @@ func (e *TemplateEngine) StatsEpoch() uint64 { return e.Opt.Epoch().ID }
 // hit is a plan recosted again through the same PreparedInstance, so
 // reuse never crosses instances, vectors or statistics epochs.
 func (e *TemplateEngine) RecostCacheCounters() (hits, misses int64) {
-	return e.memoHits.Load(), e.memoMisses.Load()
+	return e.memoCtr.Load(memoHit), e.memoCtr.Load(memoMiss)
 }
 
 // AdvanceEpoch installs st as the next statistics generation and returns

@@ -66,11 +66,11 @@ func (pi *PreparedInstance) Recost(cp *CachedPlan) (float64, error) {
 	e := pi.eng
 	for i := range pi.costs {
 		if pi.costs[i].cp == cp {
-			e.memoHits.Add(1)
+			e.memoCtr.Add(memoHit, 1)
 			return pi.costs[i].cost, nil
 		}
 	}
-	e.memoMisses.Add(1)
+	e.memoCtr.Add(memoMiss, 1)
 	start := time.Now()
 	c, err := cp.SM.RecostWith(e.Opt, pi.env)
 	if err != nil {

@@ -133,6 +133,7 @@ func TestStatusForMapping(t *testing.T) {
 		{pqo.ErrUnavailable, http.StatusServiceUnavailable, "ErrUnavailable"},
 		{pqo.ErrBudgetExhausted, http.StatusServiceUnavailable, "ErrBudgetExhausted"},
 		{pqo.ErrNoPlan, http.StatusUnprocessableEntity, "ErrNoPlan"},
+		{pqo.ErrInvalidVector, http.StatusBadRequest, "ErrBadRequest"},
 		{pqo.ErrOptimizerPanic, http.StatusBadGateway, "ErrOptimizerPanic"},
 		{errors.New("mystery"), http.StatusInternalServerError, ""},
 		// degrade wraps the trigger inside ErrUnavailable when the cache is
@@ -369,7 +370,7 @@ func TestHealthzStates(t *testing.T) {
 			t.Fatalf("healthz = %+v, want degraded epoch 1 cluster 5 skew 4", hs)
 		}
 		// Decisions served while past the bound carry the epoch-skew flag.
-		pw, plan := postPlan(t, h, PlanRequest{Template: "q2", SVector: []float64{0.4, 30}})
+		pw, plan := postPlan(t, h, PlanRequest{Template: "q2", SVector: []float64{0.4, 0.3}})
 		if pw.Code != http.StatusOK {
 			t.Fatalf("plan under skew status = %d: %s", pw.Code, pw.Body)
 		}

@@ -427,9 +427,10 @@ func writeError(w http.ResponseWriter, code int, sentinel string, err error) {
 
 // statusFor maps a Process error to its HTTP status and sentinel name.
 // Every sentinel gets a distinct, intentional status: cancellation is the
-// caller's deadline (504), exhausted budgets and open breakers are
-// retryable capacity conditions (503), and a template with no feasible
-// plan is a semantic problem with the request (422).
+// caller's deadline (504), an invalid selectivity vector is a bad
+// request (400), exhausted budgets and open breakers are retryable
+// capacity conditions (503), and a template with no feasible plan is a
+// semantic problem with the request (422).
 func statusFor(err error) (int, string) {
 	switch {
 	case errors.Is(err, pqo.ErrCancelled):
@@ -445,6 +446,8 @@ func statusFor(err error) (int, string) {
 		return http.StatusServiceUnavailable, "ErrUnavailable"
 	case errors.Is(err, pqo.ErrBudgetExhausted):
 		return http.StatusServiceUnavailable, "ErrBudgetExhausted"
+	case errors.Is(err, pqo.ErrInvalidVector):
+		return http.StatusBadRequest, "ErrBadRequest"
 	case errors.Is(err, pqo.ErrNoPlan):
 		return http.StatusUnprocessableEntity, "ErrNoPlan"
 	case errors.Is(err, pqo.ErrOptimizerPanic):

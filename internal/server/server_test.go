@@ -103,6 +103,32 @@ func TestPlanEndpoint(t *testing.T) {
 	}
 }
 
+// A selectivity outside (0,1] is the client's mistake: 400 with the
+// ErrBadRequest envelope, no optimizer call, nothing cached, and the
+// template keeps serving valid vectors.
+func TestPlanRejectsInvalidVector(t *testing.T) {
+	s, eng := newTestServer(t, Config{})
+	h := s.Handler()
+	for _, sv := range [][]float64{{1.5, 0.1}, {0, 0.1}, {0.1, -0.2}} {
+		w, _ := postPlan(t, h, PlanRequest{Template: "t1", SVector: sv})
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%v: status %d, want 400 (body %s)", sv, w.Code, w.Body)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || eb.Sentinel != "ErrBadRequest" {
+			t.Fatalf("%v: envelope = %s, want ErrBadRequest", sv, w.Body)
+		}
+	}
+	if got := eng.OptimizeCalls(); got != 0 {
+		t.Fatalf("optimizer calls = %d after rejected vectors, want 0", got)
+	}
+	for _, sv := range [][]float64{{1e-4, 1e-4}, {0.9, 0.9}} {
+		if w, _ := postPlan(t, h, PlanRequest{Template: "t1", SVector: sv}); w.Code != http.StatusOK {
+			t.Fatalf("valid %v after rejections: status %d (body %s)", sv, w.Code, w.Body)
+		}
+	}
+}
+
 func TestRequestTimeout(t *testing.T) {
 	// A 1ns budget is always expired by the time Process checks its
 	// context, so the request must fail as a timeout, not a 400.

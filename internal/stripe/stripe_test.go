@@ -4,16 +4,25 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
-func TestZeroValue(t *testing.T) {
-	var c Int64
-	if got := c.Load(); got != 0 {
-		t.Fatalf("zero value Load = %d, want 0", got)
+func TestNewSetZero(t *testing.T) {
+	s := NewSet()
+	for i := 0; i < width; i++ {
+		if got := s.Load(i); got != 0 {
+			t.Fatalf("fresh Load(%d) = %d, want 0", i, got)
+		}
 	}
-	c.Add(5)
-	if got := c.Load(); got != 5 {
-		t.Fatalf("Load after Add(5) = %d, want 5", got)
+	s.Add(3, 5)
+	for i := 0; i < width; i++ {
+		want := int64(0)
+		if i == 3 {
+			want = 5
+		}
+		if got := s.Load(i); got != want {
+			t.Fatalf("Load(%d) after Add(3, 5) = %d, want %d", i, got, want)
+		}
 	}
 }
 
@@ -24,8 +33,29 @@ func TestShardsPowerOfTwo(t *testing.T) {
 	}
 }
 
+// A shard is exactly one cache line, and every set's lines start on a
+// cache-line boundary, so no shard of one set shares a line with another
+// shard or with any other object.
+func TestLinesAligned(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != cacheLine {
+		t.Fatalf("shard is %d bytes, want %d", got, cacheLine)
+	}
+	sets := make([]Set, 256)
+	for i := range sets {
+		sets[i] = NewSet()
+		if got := len(sets[i].lines); got != Shards() {
+			t.Fatalf("set has %d lines, want %d", got, Shards())
+		}
+		if addr := uintptr(unsafe.Pointer(&sets[i].lines[0])); addr%cacheLine != 0 {
+			t.Fatalf("set %d lines start at %#x, not %d-byte aligned", i, addr, cacheLine)
+		}
+	}
+}
+
+// Concurrent Adds across every index of one set sum exactly, and no
+// index leaks into another.
 func TestConcurrentAdds(t *testing.T) {
-	var c Int64
+	s := NewSet()
 	const goroutines = 32
 	const perG = 10_000
 	var wg sync.WaitGroup
@@ -33,31 +63,27 @@ func TestConcurrentAdds(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				c.Add(1)
+			for n := 0; n < perG; n++ {
+				for i := 0; i < width; i++ {
+					s.Add(i, int64(i+1))
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got, want := c.Load(), int64(goroutines*perG); got != want {
-		t.Fatalf("Load = %d, want %d", got, want)
+	for i := 0; i < width; i++ {
+		if got, want := s.Load(i), int64(goroutines*perG*(i+1)); got != want {
+			t.Fatalf("Load(%d) = %d, want %d", i, got, want)
+		}
 	}
 }
 
-func TestNegativeDeltaAndStore(t *testing.T) {
-	var c Int64
-	c.Add(10)
-	c.Add(-3)
-	if got := c.Load(); got != 7 {
+func TestNegativeDelta(t *testing.T) {
+	s := NewSet()
+	s.Add(0, 10)
+	s.Add(0, -3)
+	if got := s.Load(0); got != 7 {
 		t.Fatalf("Load = %d, want 7", got)
-	}
-	c.Store(42)
-	if got := c.Load(); got != 42 {
-		t.Fatalf("Load after Store(42) = %d, want 42", got)
-	}
-	c.Store(0)
-	if got := c.Load(); got != 0 {
-		t.Fatalf("Load after Store(0) = %d, want 0", got)
 	}
 }
 
@@ -67,8 +93,8 @@ func TestAddDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	var c Int64
-	allocs := testing.AllocsPerRun(1000, func() { c.Add(1) })
+	s := NewSet()
+	allocs := testing.AllocsPerRun(1000, func() { s.Add(width-1, 1) })
 	if allocs != 0 {
 		t.Fatalf("Add allocates %.1f times per call, want 0", allocs)
 	}
@@ -77,23 +103,20 @@ func TestAddDoesNotAllocate(t *testing.T) {
 func TestShardSpread(t *testing.T) {
 	// Distinct goroutines should not all collapse onto one shard. This is
 	// probabilistic (stack placement), so only require that *some* spread
-	// exists across many goroutines, and skip on single-shard builds.
-	if Shards() < 2 {
-		t.Skip("single shard")
-	}
-	var c Int64
+	// exists across many goroutines.
+	s := NewSet()
 	var wg sync.WaitGroup
 	for g := 0; g < 64; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.Add(1)
+			s.Add(0, 1)
 		}()
 	}
 	wg.Wait()
 	used := 0
-	for i := 0; i < nShards; i++ {
-		if c.shards[i].v.Load() != 0 {
+	for k := range s.lines {
+		if s.lines[k][0].Load() != 0 {
 			used++
 		}
 	}

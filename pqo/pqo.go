@@ -141,6 +141,7 @@ var (
 	ErrBreakerOpen      = core.ErrBreakerOpen
 	ErrUnavailable      = core.ErrUnavailable
 	ErrEpochUnsupported = core.ErrEpochUnsupported
+	ErrInvalidVector    = core.ErrInvalidVector
 	ErrSnapshotCorrupt  = core.ErrSnapshotCorrupt
 )
 

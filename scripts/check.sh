@@ -38,7 +38,8 @@ go test -shuffle=on ./...
 go test -race ./internal/core/ ./internal/server/ ./internal/engine/ \
     ./internal/baselines/ ./internal/harness/ ./internal/memo/ \
     ./internal/faultinject/ ./internal/cluster/ ./internal/par/ \
-    ./internal/datagen/ ./internal/stats/ ./internal/workload/
+    ./internal/datagen/ ./internal/stats/ ./internal/workload/ \
+    ./internal/stripe/
 
 run_lint() {
     # pqolint: the repo's invariant analyzers (docs/LINT.md). Driven through
