@@ -84,45 +84,6 @@ func TestImportSinglePublication(t *testing.T) {
 	}
 }
 
-// TestEagerPublishRestoresPerMutationPublication: the benchmark baseline
-// knob must bump the version on every mutation again, and the shared
-// write lock option must reject nil.
-func TestEagerPublishRestoresPerMutationPublication(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	eng, err := pqotest.RandomEngine(rng, 3, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(eng, WithLambda(2), WithStoreAlways(), WithEagerPublish())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		if _, err := s.Process(context.Background(), pqotest.RandomSVector(rng, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := s.snapshot().version
-	stBefore := s.Stats()
-	dropped, err := s.SweepRedundantPlans()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped < 2 {
-		t.Skipf("sweep dropped %d plans; need >= 2 to distinguish eager from coalesced", dropped)
-	}
-	if after := s.snapshot().version; after != before+int64(dropped) {
-		t.Errorf("eager sweep dropping %d moved version %d -> %d, want one publication per removal", dropped, before, after)
-	}
-	if st := s.Stats(); st.PublishCoalesced != stBefore.PublishCoalesced {
-		t.Errorf("eager publication coalesced %d marks, want 0 new", st.PublishCoalesced-stBefore.PublishCoalesced)
-	}
-
-	if _, err := New(eng, WithSharedWriteLock(nil)); err == nil {
-		t.Error("WithSharedWriteLock(nil) accepted, want error")
-	}
-}
-
 // TestWriteDomainIsolation: mutating one template's cache must republish
 // only that template's snapshot — sibling domains' published pointers
 // stay untouched.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -87,16 +86,6 @@ type Config struct {
 	// DegradedEpochSkew. Zero selects the default of 1 — adjacent
 	// generations only, matching the coordinator's default withhold rule.
 	SkewBound int
-
-	// sharedWriteMu, when non-nil, makes the SCR's write domain acquire
-	// this mutex instead of its own — collapsing several SCRs into one
-	// write domain. Benchmark-only (WithSharedWriteLock): it reconstructs
-	// the pre-sharding single-mutex write path as a baseline.
-	sharedWriteMu *sync.Mutex
-	// eagerPublish disables publication coalescing: every mutation under
-	// the domain mutex republishes the snapshot immediately. Benchmark-only
-	// (WithEagerPublish): it reconstructs the publish-per-mutation baseline.
-	eagerPublish bool
 }
 
 // DynamicLambda maps an instance's optimal cost to a λ in [Min, Max] via an
@@ -505,7 +494,6 @@ func (s *SCR) Stats() Stats {
 		WriteLockWait:          time.Duration(s.ctr.hot.Load(hotWriterWaitNs)),
 		CurPlans:               len(snap.plans),
 		MaxPlans:               int(s.maxPlans.Load()),
-		WriteDomains:           1,
 		PublishTotal:           s.ctr.publishes.Load(),
 		PublishCoalesced:       s.ctr.coalesced.Load(),
 	}
@@ -769,22 +757,23 @@ func buildSelIndex(insts []*instanceEntry) selIndex {
 const selWindowSlop = 1e-9
 
 // selHit is the indexed selectivity check: it searches the snapshot's
-// index window [wq/λmax, wq·λmax] and serves the passing entry that comes
-// first in scan order (identical to what the full scan would have
-// served). It returns the number of entries whose factors were evaluated
-// (the SelChecks accounting), and (nil, n, nil) on a miss — which, by the
-// window invariant on selIndex, proves NO entry passes the selectivity
-// check, so the caller can go straight to cost-check candidate
-// collection. Process rejects invalid query vectors before they get here
-// (checkVector); the weight guard below is defensive.
-func (s *SCR) selHit(snap *cacheSnapshot, sv []float64) (*Decision, int, error) {
+// index window [wq/λmax, wq·λmax] and returns the passing entry that
+// comes first in scan order (identical to what the full scan would have
+// found) with the anchor it passed under. It also returns the number of
+// entries whose factors were evaluated (the SelChecks accounting), and a
+// nil entry on a miss — which, by the window invariant on selIndex,
+// proves NO entry passes the selectivity check, so the caller can go
+// straight to cost-check candidate collection. Process rejects invalid
+// query vectors before they get here (checkVector); the weight guard
+// below is defensive.
+func (s *SCR) selHit(snap *cacheSnapshot, sv []float64) (*instanceEntry, *anchor, int, error) {
 	idx := &snap.index
 	if len(idx.keys) == 0 {
-		return nil, 0, nil
+		return nil, nil, 0, nil
 	}
 	wq := regionWeight(sv)
 	if !(wq > 0) || math.IsInf(wq, 0) { // NaN, zero, negative: invalid query vector
-		return nil, 0, nil
+		return nil, nil, 0, nil
 	}
 	lamMax := s.cfg.lambdaMax()
 	lo := wq / lamMax * (1 - selWindowSlop)
@@ -801,17 +790,183 @@ func (s *SCR) selHit(snap *cacheSnapshot, sv []float64) (*Decision, int, error) 
 		a := e.anc.Load()
 		g, l, err := GLFactors(e.v, sv)
 		if err != nil {
-			return nil, examined, err
+			return nil, nil, examined, err
 		}
 		if g*l <= s.cfg.lambdaFor(a.c)/a.s && idx.pos[i] < bestPos {
 			best, bestAnc, bestPos = e, a, idx.pos[i]
 		}
 	}
-	if best == nil {
-		return nil, examined, nil
+	return best, bestAnc, examined, nil
+}
+
+// cand is one cost-check candidate: a current-epoch, non-quarantined
+// entry with its GL factors against the query.
+type cand struct {
+	e     *instanceEntry
+	a     *anchor
+	g, l  float64
+	order float64 // the candidate-ordering key: g·l, or l with OrderCandidatesByL
+	// violates records that costCheck found the candidate breaking BCG.
+	violates bool
+}
+
+// scanResult is what one pass of Algorithm 1's scan found for a query:
+// the selectivity-check pass that comes first in scan order (hit), the
+// lowest-GL non-quarantined entry anchored under an older epoch (lag, for
+// the flagged fallback), each with the anchor it was read under, and the
+// costCheckLimit most promising current-epoch candidates in increasing
+// order key, ties in scan order.
+type scanResult struct {
+	hit, lag       *instanceEntry
+	hitAnc, lagAnc *anchor
+	cands          []cand
+	examined       int // entries whose factors were evaluated
+}
+
+// scan is the side-effect-free half of Algorithm 1 that getPlan and
+// ProbeCheck share: the selectivity check (through the snapshot's index,
+// then over the instance list) and cost-check candidate collection
+// against the statistics epoch cur. It reads anchors and quarantine
+// flags and writes nothing.
+func (s *SCR) scan(snap *cacheSnapshot, sv []float64, cur uint64) (scanResult, error) {
+	var r scanResult
+	// Fast path: the indexed hit test. On the common warm-cache outcome —
+	// a selectivity-check hit — this touches O(log n) keys plus the
+	// entries inside the λmax window and returns without scanning the
+	// instance list at all.
+	hit, hitAnc, n, err := s.selHit(snap, sv)
+	r.examined = n
+	if err != nil || hit != nil {
+		r.hit, r.hitAnc = hit, hitAnc
+		return r, err
 	}
-	best.u.Add(1)
-	return &Decision{Plan: best.pp.cp, Via: ViaSelectivity, Epoch: bestAnc.epoch}, examined, nil
+
+	insts := snap.instances
+	// Only the `keep` best candidates are ever recosted, so keep a
+	// bounded insertion-sorted list instead of collecting and sorting
+	// every entry: on the hot path this is the difference between O(keep)
+	// extra memory and an O(instances) allocation + sort per lookup.
+	keep := s.cfg.costCheckLimit()
+	if keep < 0 {
+		keep = 0
+	}
+	// A limit larger than the instance list (e.g. the "recost all"
+	// ablation's 1<<30) must not become the allocation size.
+	capHint := keep
+	if capHint > len(insts) {
+		capHint = len(insts)
+	}
+	// cands is allocated lazily on first insert: a selectivity-check hit —
+	// the overwhelmingly common outcome on a warm cache — pays nothing.
+	insert := func(c cand) {
+		if r.cands == nil {
+			r.cands = make([]cand, 0, capHint)
+		}
+		if len(r.cands) == keep {
+			if c.order >= r.cands[len(r.cands)-1].order {
+				return
+			}
+			r.cands = r.cands[:len(r.cands)-1]
+		}
+		i := len(r.cands)
+		for i > 0 && c.order < r.cands[i-1].order {
+			i--
+		}
+		r.cands = append(r.cands, cand{})
+		copy(r.cands[i+1:], r.cands[i:])
+		r.cands[i] = c
+	}
+	var lagGL float64
+	for _, e := range insts {
+		r.examined++
+		a := e.anc.Load()
+		g, l, err := GLFactors(e.v, sv)
+		if err != nil {
+			return r, err
+		}
+		if g*l <= s.cfg.lambdaFor(a.c)/a.s {
+			// selHit proved no entry passed, but anchors are live atomics: a
+			// concurrent re-anchor (revalidation loosening S) can create a
+			// pass between the index walk and this scan. Honor it.
+			r.hit, r.hitAnc = e, a
+			return r, nil
+		}
+		if e.quarantined.Load() {
+			continue
+		}
+		if a.epoch != cur {
+			if r.lag == nil || g*l < lagGL {
+				r.lag, r.lagAnc, lagGL = e, a, g*l
+			}
+			continue
+		}
+		if keep == 0 {
+			continue
+		}
+		c := cand{e: e, a: a, g: g, l: l, order: g * l}
+		if s.cfg.OrderCandidatesByL {
+			c.order = l
+		}
+		insert(c)
+	}
+	return r, nil
+}
+
+// costCheck runs the cost check over cands in order against the epoch
+// cur. It returns the first candidate that passes (nil if none) and the
+// number of recosts made, and marks the candidates it found violating BCG
+// on the way (with WithViolationDetection). Like scan it leaves the cache
+// alone: getPlan applies the side effects. A nil ctx is never cancelled.
+func (s *SCR) costCheck(ctx context.Context, sv []float64, cands []cand, cur uint64) (pass *cand, recosts int64, err error) {
+	if len(cands) == 0 {
+		return nil, 0, nil
+	}
+	tol := s.cfg.ViolationTolerance
+	if tol <= 0 {
+		tol = 0.01
+	}
+	// Batch: build selectivity state once for this instance, recost every
+	// cost-check candidate against it. If the epoch advanced between the
+	// scan and this preparation, the candidates' anchors no longer match
+	// the recost generation — skip the cost check for this lookup (the
+	// next one re-scans under the new epoch) rather than compare costs
+	// across generations.
+	pi := s.prepareRecost(sv)
+	defer pi.Release()
+	if s.prepareEpoch(pi) != cur {
+		return nil, 0, nil
+	}
+	for i := range cands {
+		c := &cands[i]
+		if s.cfg.GLCutoff > 0 && c.g*c.l > s.cfg.GLCutoff {
+			break
+		}
+		if ctx != nil && ctx.Err() != nil {
+			return nil, recosts, cancelled(ctx.Err())
+		}
+		newCost, recEpoch, err := s.recostWithEpoch(pi, c.e.pp.cp, sv)
+		if err != nil {
+			return nil, recosts, err
+		}
+		recosts++
+		if recEpoch != c.a.epoch {
+			// Advanced mid-loop (per-call recost path only): this
+			// candidate's anchor and recost disagree on generation.
+			continue
+		}
+		// Appendix G: the BCG bounds constrain the plan's own cost ratio
+		// between qe and qc; Cost(PP, qe) = C·S.
+		if s.cfg.DetectViolations && ViolatesBCG(newCost/(c.a.c*c.a.s), c.g, c.l, tol) {
+			c.violates = true
+			continue
+		}
+		// §6.2: R = Cost(PP, qc) / C (C is the optimal cost at qe); the
+		// cost check is R·L ≤ λ/S.
+		if newCost/c.a.c*c.l <= s.cfg.lambdaFor(c.a.c)/c.a.s {
+			return c, recosts, nil
+		}
+	}
+	return nil, recosts, nil
 }
 
 // getPlan is Algorithm 1: the selectivity check over the instance list
@@ -830,243 +985,79 @@ func (s *SCR) selHit(snap *cacheSnapshot, sv []float64) (*Decision, int, error) 
 // as an explicitly flagged fallback instead of stampeding the optimizer
 // while the background revalidator catches the cache up.
 func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*Decision, error) {
-	examined := 0
-	defer func() { s.ctr.hot.Add(hotSelChecks, int64(examined)) }()
-
-	// Fast path: the indexed hit test. On the common warm-cache outcome —
-	// a selectivity-check hit — this touches O(log n) keys plus the
-	// entries inside the λmax window and returns without scanning the
-	// instance list at all.
-	dec, n, err := s.selHit(snap, sv)
-	examined += n
+	cur := s.statsEpoch()
+	r, err := s.scan(snap, sv, cur)
+	s.ctr.hot.Add(hotSelChecks, int64(r.examined))
 	if err != nil {
 		return nil, err
 	}
-	if dec != nil {
-		return dec, nil
+	if r.hit != nil {
+		r.hit.u.Add(1)
+		return &Decision{Plan: r.hit.pp.cp, Via: ViaSelectivity, Epoch: r.hitAnc.epoch}, nil
 	}
 
-	insts := snap.instances
-	cur := s.statsEpoch()
-	type cand struct {
-		e  *instanceEntry
-		a  *anchor
-		gl float64
-		l  float64
-	}
-	limit := s.cfg.costCheckLimit()
-	// Only the `limit` best candidates are ever recosted, so keep a
-	// bounded insertion-sorted list instead of collecting and sorting
-	// every entry: on the hot path this is the difference between O(limit)
-	// extra memory and an O(instances) allocation + sort per lookup.
-	keep := limit
-	if keep < 0 {
-		keep = 0
-	}
-	// A limit larger than the instance list (e.g. the "recost all"
-	// ablation's 1<<30) must not become the allocation size.
-	capHint := keep
-	if capHint > len(insts) {
-		capHint = len(insts)
-	}
-	// cands is allocated lazily on first insert: a selectivity-check hit —
-	// the overwhelmingly common outcome on a warm cache — pays nothing.
-	var cands []cand
-	key := func(c cand) float64 { return c.gl }
-	if s.cfg.OrderCandidatesByL {
-		key = func(c cand) float64 { return c.l }
-	}
-	insert := func(c cand) {
-		if keep == 0 {
-			return
+	pass, recosts, err := s.costCheck(ctx, sv, r.cands, cur)
+	s.ctr.hot.Add(hotGetPlanRecosts, recosts)
+	for _, c := range r.cands {
+		if c.violates {
+			c.e.quarantined.Store(true)
+			s.ctr.violations.Add(1)
 		}
-		if cands == nil {
-			cands = make([]cand, 0, capHint)
-		}
-		if len(cands) == keep {
-			if key(c) >= key(cands[len(cands)-1]) {
-				return
-			}
-			cands = cands[:len(cands)-1]
-		}
-		i := len(cands)
-		for i > 0 && key(c) < key(cands[i-1]) {
-			i--
-		}
-		cands = append(cands, cand{})
-		copy(cands[i+1:], cands[i:])
-		cands[i] = c
+	}
+	if err != nil {
+		return nil, err
+	}
+	if pass != nil {
+		pass.e.u.Add(1)
+		return &Decision{Plan: pass.e.pp.cp, Via: ViaCost, Epoch: pass.a.epoch}, nil
 	}
 
-	// lagBest tracks the most promising (lowest GL) non-quarantined entry
-	// anchored under an older epoch, for the flagged fallback below.
-	var (
-		lagBest *instanceEntry
-		lagAnc  *anchor
-		lagGL   float64
-	)
-
-	for _, e := range insts {
-		examined++
-		a := e.anc.Load()
-		g, l, err := GLFactors(e.v, sv)
-		if err != nil {
-			return nil, err
-		}
-		lam := s.cfg.lambdaFor(a.c)
-		if g*l <= lam/a.s {
-			// selHit proved no entry passed, but anchors are live atomics: a
-			// concurrent re-anchor (revalidation loosening S) can create a
-			// pass between the index walk and this scan. Honor it.
-			e.u.Add(1)
-			return &Decision{Plan: e.pp.cp, Via: ViaSelectivity, Epoch: a.epoch}, nil
-		}
-		if e.quarantined.Load() {
-			continue
-		}
-		if a.epoch != cur {
-			if lagBest == nil || g*l < lagGL {
-				lagBest, lagAnc, lagGL = e, a, g*l
-			}
-			continue
-		}
-		insert(cand{e: e, a: a, gl: g * l, l: l})
-	}
-
-	if limit >= 0 && len(cands) > 0 {
-		tol := s.cfg.ViolationTolerance
-		if tol <= 0 {
-			tol = 0.01
-		}
-		// Batch: build selectivity state once for this instance, recost
-		// every cost-check candidate against it. If the epoch advanced
-		// between the scan above and this preparation, the candidates'
-		// anchors no longer match the recost generation — skip the cost
-		// check for this lookup (the next one re-scans under the new
-		// epoch) rather than compare costs across generations.
-		pi := s.prepareRecost(sv)
-		defer pi.Release()
-		if s.prepareEpoch(pi) != cur {
-			cands = cands[:0]
-		}
-		for _, c := range cands {
-			if s.cfg.GLCutoff > 0 && c.gl > s.cfg.GLCutoff {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, cancelled(err)
-			}
-			newCost, recEpoch, err := s.recostWithEpoch(pi, c.e.pp.cp, sv)
-			if err != nil {
-				return nil, err
-			}
-			s.ctr.hot.Add(hotGetPlanRecosts, 1)
-			if recEpoch != c.a.epoch {
-				// Advanced mid-loop (per-call recost path only): this
-				// candidate's anchor and recost disagree on generation.
-				continue
-			}
-			if s.cfg.DetectViolations {
-				// Appendix G: the BCG bounds constrain the plan's own cost
-				// ratio between qe and qc; Cost(PP, qe) = C·S.
-				rPlan := newCost / (c.a.c * c.a.s)
-				g, l, err := GLFactors(c.e.v, sv)
-				if err != nil {
-					return nil, err
-				}
-				if ViolatesBCG(rPlan, g, l, tol) {
-					c.e.quarantined.Store(true)
-					s.ctr.violations.Add(1)
-					continue
-				}
-			}
-			// §6.2: R = Cost(PP, qc) / C (C is the optimal cost at qe); the
-			// cost check is R·L ≤ λ/S.
-			r := newCost / c.a.c
-			lam := s.cfg.lambdaFor(c.a.c)
-			if r*c.l <= lam/c.a.s {
-				c.e.u.Add(1)
-				return &Decision{Plan: c.e.pp.cp, Via: ViaCost, Epoch: c.a.epoch}, nil
-			}
-		}
-	}
-
-	if lagBest != nil {
+	if r.lag != nil {
 		// Every current-epoch avenue failed but a not-yet-revalidated
 		// entry is in reach: serve it flagged instead of optimizing. This
 		// bounds optimizer load during revalidation lag — the flagged
 		// plan was λ-valid under its own epoch, the decision says so, and
 		// the revalidator is already retiring the lag.
-		lagBest.u.Add(1)
+		r.lag.u.Add(1)
 		s.ctr.epochLagServed.Add(1)
 		s.ctr.degraded.Add(1)
 		return &Decision{
-			Plan:           lagBest.pp.cp,
+			Plan:           r.lag.pp.cp,
 			Via:            ViaFallback,
 			Degraded:       true,
 			DegradedReason: DegradedStatsEpochLag,
-			Epoch:          lagAnc.epoch,
+			Epoch:          r.lagAnc.epoch,
 		}, nil
 	}
 	return nil, nil
 }
 
 // ProbeCheck classifies how getPlan would serve an instance at sv — by the
-// selectivity check, the cost check, or an optimizer call — WITHOUT
-// mutating usage counters, quarantine flags or statistics. It is a
-// diagnostic/visualization aid (e.g. rendering the §5.3 inference-region
-// geometry) and performs Recost calls against the engine like the real
-// cost check would. Like Process's read path it scans a lock-free
-// snapshot of the instance list and is safe to call concurrently with
-// Process.
+// selectivity check, the cost check, the flagged epoch-lag fallback, or
+// an optimizer call — WITHOUT mutating usage counters, quarantine flags
+// or statistics: it runs getPlan's own scan and cost check and skips
+// their side effects. It is a diagnostic/visualization aid (e.g.
+// rendering the §5.3 inference-region geometry) and performs Recost calls
+// against the engine like the real cost check would. Like Process's read
+// path it scans a lock-free snapshot of the instance list and is safe to
+// call concurrently with Process.
 func (s *SCR) ProbeCheck(sv []float64) Check {
-	insts := s.snapshot().instances
-	type cand struct {
-		e  *instanceEntry
-		a  *anchor
-		gl float64
-		l  float64
-	}
 	cur := s.statsEpoch()
-	var cands []cand
-	for _, e := range insts {
-		a := e.anc.Load()
-		g, l, err := GLFactors(e.v, sv)
-		if err != nil {
-			return ViaOptimizer
-		}
-		if g*l <= s.cfg.lambdaFor(a.c)/a.s {
-			return ViaSelectivity
-		}
-		if !e.quarantined.Load() && a.epoch == cur {
-			cands = append(cands, cand{e: e, a: a, gl: g * l, l: l})
-		}
-	}
-	limit := s.cfg.costCheckLimit()
-	if limit < 0 {
+	r, err := s.scan(s.snapshot(), sv, cur)
+	switch {
+	case err != nil:
 		return ViaOptimizer
+	case r.hit != nil:
+		return ViaSelectivity
 	}
-	if s.cfg.OrderCandidatesByL {
-		sort.Slice(cands, func(i, j int) bool { return cands[i].l < cands[j].l })
-	} else {
-		sort.Slice(cands, func(i, j int) bool { return cands[i].gl < cands[j].gl })
-	}
-	if len(cands) > limit {
-		cands = cands[:limit]
-	}
-	pi := s.prepareRecost(sv)
-	defer pi.Release()
-	for _, c := range cands {
-		if s.cfg.GLCutoff > 0 && c.gl > s.cfg.GLCutoff {
-			break
-		}
-		newCost, err := s.recostWith(pi, c.e.pp.cp, sv)
-		if err != nil {
-			return ViaOptimizer
-		}
-		if (newCost/c.a.c)*c.l <= s.cfg.lambdaFor(c.a.c)/c.a.s {
-			return ViaCost
-		}
+	pass, _, err := s.costCheck(nil, sv, r.cands, cur)
+	switch {
+	case err != nil:
+		return ViaOptimizer
+	case pass != nil:
+		return ViaCost
+	case r.lag != nil:
+		return ViaFallback
 	}
 	return ViaOptimizer
 }

@@ -142,10 +142,6 @@ type Stats struct {
 	// writer mutex — the only lock left; the read path acquires none, so
 	// there is no read-side counterpart.
 	WriteLockWait time.Duration
-	// WriteDomains is the number of independent write domains behind these
-	// stats: 1 for a single SCR, the template count when aggregated by a
-	// Directory. Writers to different domains never contend.
-	WriteDomains int
 	// PublishTotal counts snapshot publications; PublishCoalesced counts
 	// mutations that were folded into another mutation's publication
 	// instead of paying their own (PublishTotal + PublishCoalesced =

@@ -182,9 +182,6 @@ func TestChaosEpochAdvance(t *testing.T) {
 	// The write-domain publication surface must have moved under this
 	// churn: the warmup and miss traffic published snapshots, and each
 	// revalidation's multi-mutation critical sections coalesced marks.
-	if st.WriteDomains != 1 {
-		t.Errorf("Stats().WriteDomains = %d, want 1", st.WriteDomains)
-	}
 	if st.PublishTotal == 0 {
 		t.Error("Stats().PublishTotal did not move across the chaos stream")
 	}

@@ -629,7 +629,6 @@ type StatsRow struct {
 	Recosts           int64   `json:"getPlanRecosts"`
 	Violations        int64   `json:"bcgViolations"`
 	WriteLockWaitUS   int64   `json:"writeLockWaitMicros"`
-	WriteDomains      int     `json:"writeDomains"`
 	PublishTotal      int64   `json:"publishTotal"`
 	PublishCoalesced  int64   `json:"publishCoalesced"`
 	RecostCacheHits   int64   `json:"recostCacheHits"`
@@ -649,12 +648,7 @@ type StatsRow struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	entries := make([]*entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		entries = append(entries, e)
-	}
-	s.mu.RUnlock()
+	entries := s.snapshotEntries()
 	out := make([]StatsRow, 0, len(entries))
 	for _, e := range entries {
 		st := e.scr.Stats()
@@ -669,7 +663,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Plans: st.CurPlans, MemoryBytes: st.MemoryBytes,
 			Recosts: st.GetPlanRecosts, Violations: st.Violations,
 			WriteLockWaitUS:   st.WriteLockWait.Microseconds(),
-			WriteDomains:      st.WriteDomains,
 			PublishTotal:      st.PublishTotal,
 			PublishCoalesced:  st.PublishCoalesced,
 			RecostCacheHits:   st.RecostCacheHits,

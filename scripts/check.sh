@@ -7,7 +7,7 @@
 #
 #   ./scripts/check.sh          # gofmt + vet + build + tests + targeted race pass
 #   ./scripts/check.sh -lint    # additionally run pqolint + extra analyzers
-#   ./scripts/check.sh -bench   # additionally run the parallel benchmarks
+#   ./scripts/check.sh -bench   # additionally run the benchmark gates
 #   ./scripts/check.sh -chaos   # additionally run the full chaos profiles
 #
 # The short chaos profile (fault-injected serving, docs/ROBUSTNESS.md) is
@@ -35,6 +35,8 @@ go test -shuffle=on ./...
 # instead of surfacing only when the benchmark runs. GOPROXY=off: its only
 # dependency is this module, through a replace directive.
 (cd perfbench && GOPROXY=off go test ./...)
+# ab.py's verdict and pairing rules, on canned results.
+python3 -m unittest scripts/ab_test.py
 go test -race ./internal/core/ ./internal/server/ ./internal/engine/ \
     ./internal/baselines/ ./internal/harness/ ./internal/memo/ \
     ./internal/faultinject/ ./internal/cluster/ ./internal/par/ \
@@ -74,19 +76,57 @@ case "${1:-}" in
     ;;
 -bench)
     # Fast smoke over the memo hot path first: a regression in Optimize/
-    # Recost cost or allocations shows up here in seconds (see docs/PERF.md
-    # and scripts/bench.sh for the full comparison workflow).
+    # Recost cost or allocations shows up here in seconds (docs/PERF.md).
     go test ./internal/memo/ -run '^$' -benchtime 100x -benchmem \
         -bench 'BenchmarkOptimize$|BenchmarkRecost$'
     go test ./internal/server/ -run '^$' -bench BenchmarkServerParallel -cpu 8
-    # Regression gates: ProcessParallel/rcu vs the frozen BENCH_PR7.json
-    # sweep point and Process p99 during background epoch revalidation vs
-    # steady state (>2x fails).
-    ./scripts/bench_smoke.sh
+    hi=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
+    [ "$hi" -lt 8 ] && hi=8
+    # Gates against the base commit (docs/PERF.md): each fails when the
+    # change's median ns/op is above 1.25x the base's. -skip drops the
+    # sub-benchmarks older bases still have, so each regex matches one
+    # benchmark a side.
+    python3 scripts/ab.py go ./internal/core/ '^BenchmarkProcessParallel$' \
+        -cpu 8 -benchtime 2000x -skip 'BenchmarkProcessParallel/(rwmutex|mutex)'
+    python3 scripts/ab.py go ./internal/core/ '^BenchmarkProcessWriteHeavy$' \
+        -cpu "$hi" -benchtime 1000x -skip 'BenchmarkProcessWriteHeavy/unsharded'
+    out=$(mktemp)
+    trap 'rm -f "$out"' EXIT
     # Scaling smoke: the lock-free read path must still deliver >= 1.25x
     # single-proc throughput at max(8, NumCPU) procs; a lock reintroduced
-    # on the hit path flattens the curve and fails here in seconds.
-    ./scripts/bench_scaling.sh -smoke
+    # on the hit path flattens the curve. No physical cores needed: added
+    # procs overlap the simulated optimizer sleeps.
+    go test ./internal/core/ -run '^$' -bench '^BenchmarkProcessParallel$' \
+        -cpu "1,$hi" -benchtime 1000x -count 2 | tee "$out"
+    awk -v hi="$hi" '
+    $1 ~ /^BenchmarkProcessParallel(-[0-9]+)?$/ && $4 == "ns/op" {
+        # go test omits the -N GOMAXPROCS suffix when N == 1.
+        n = $1
+        if (sub(/^.*-/, "", n) == 0) n = "1"
+        if (!(n in ns) || $3 + 0 < ns[n]) ns[n] = $3 + 0
+    }
+    END {
+        if (!("1" in ns) || !(hi in ns)) { print "check.sh: missing scaling samples"; exit 1 }
+        ratio = ns["1"] / ns[hi]
+        printf "check.sh: ProcessParallel %d ns/op @1 proc, %d ns/op @%d procs (%.2fx throughput)\n", ns["1"], ns[hi], hi, ratio
+        if (ratio < 1.25) { printf "check.sh: FAIL: read path stopped scaling (< 1.25x at %d procs)\n", hi; exit 1 }
+    }' "$out"
+    # Revalidation tail: Process p99 during background epoch revalidation
+    # must stay within 2x of steady state (docs/STATS.md).
+    go test ./internal/core/ -run '^$' -bench BenchmarkProcessDuringRevalidation \
+        -cpu 8 -benchtime 0.5s | tee "$out"
+    awk '
+    $1 ~ /^BenchmarkProcessDuringRevalidation\/steady/ {
+        for (i = 2; i <= NF; i++) if ($i == "p99-ns") steady = $(i-1) + 0
+    }
+    $1 ~ /^BenchmarkProcessDuringRevalidation\/revalidating/ {
+        for (i = 2; i <= NF; i++) if ($i == "p99-ns") reval = $(i-1) + 0
+    }
+    END {
+        if (steady == 0 || reval == 0) { print "check.sh: missing p99-ns samples"; exit 1 }
+        printf "check.sh: Process p99 %d ns steady, %d ns during revalidation (limit %.0f)\n", steady, reval, 2 * steady
+        if (reval > 2 * steady) { print "check.sh: FAIL: revalidation pushes Process p99 beyond 2x steady state"; exit 1 }
+    }' "$out"
     ;;
 -chaos)
     # Full chaos streams: long fault-injected request replays under the
