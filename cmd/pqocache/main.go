@@ -1,5 +1,5 @@
-// Command pqocache inspects plan-cache snapshots produced by SCR.Export
-// (e.g. the files written by examples/server's /snapshot endpoint):
+// Command pqocache inspects plan-cache snapshot files written by
+// WriteSnapshotFile (e.g. by examples/server's /v1/snapshot endpoint):
 // which plans are cached, how many optimized instances anchor each plan's
 // inference region, their usage counts and cost ranges.
 //
@@ -21,7 +21,7 @@ func main() {
 		os.Exit(2)
 	}
 	for _, path := range os.Args[1:] {
-		data, err := os.ReadFile(path)
+		data, err := core.ReadSnapshotFile(path)
 		if err != nil {
 			fatal(err)
 		}

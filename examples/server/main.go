@@ -18,8 +18,7 @@
 //	curl -s localhost:8080/v1/admin/epochs
 //	curl -s localhost:8080/v1/openapi.json
 //
-// The unversioned paths from earlier releases still answer with 308
-// permanent redirects to their /v1 equivalents.
+// Paths outside /v1 answer 404 with the ErrNotFound envelope.
 package main
 
 import (

@@ -21,7 +21,7 @@ func TestConcurrentProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSCR(eng, Config{Lambda: 2})
+	s, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestStressMixedOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(eng, WithLambda(2), WithScanOrder(ScanByUsage))
+	s, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestConcurrentProcessWithBudgetAndSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSCR(eng, Config{Lambda: 1.5, PlanBudget: 3})
+	s, err := New(eng, WithLambda(1.5), WithPlanBudget(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,9 @@ import (
 // beyond every published element and flushLocked can extend the previous
 // snapshot — merging only the appended entries into the selectivity
 // index — instead of rebuilding O(n log n) from scratch. Any mutation
-// that is not an append (eviction, sweep, re-sort, import, plan-list
-// change) must install a freshly allocated slice and set d.structural,
-// which forces the next flush down the full-rebuild path.
+// that is not an append (eviction, sweep, import, plan-list change) must
+// install a freshly allocated slice and set d.structural, which forces
+// the next flush down the full-rebuild path.
 
 // publishCoalesceWindow bounds how many publication marks may batch into
 // one flush while a writer stays inside a single critical section. It is
@@ -73,7 +73,7 @@ type writeDomain struct {
 	plans       map[string]*planEntry
 	plansSorted []*planEntry
 
-	// instances is the scan-ordered master instance list. Append-only
+	// instances is the master instance list in insertion order. Append-only
 	// between publications; see the invariant above.
 	instances []*instanceEntry
 
@@ -93,7 +93,7 @@ type writeDomain struct {
 }
 
 // init wires the domain to its owning SCR and publishes the initial
-// empty snapshot (version 1). Called once from NewSCR, before the SCR
+// empty snapshot (version 1). Called once from New, before the SCR
 // escapes its constructor.
 func (d *writeDomain) init(s *SCR) {
 	d.scr = s
@@ -384,34 +384,6 @@ func (d *writeDomain) evictLFU() {
 	}
 	d.setInstancesLocked(kept)
 	d.scr.ctr.evictions.Add(1)
-}
-
-// resortInstances re-orders the master instance list per the configured
-// scan order (§6.2) into a fresh slice — the previous one is shared with
-// the published snapshot — and marks the publication. Called under the
-// domain mutex every resortEvery lookups; sorting is O(n log n) off the
-// hot path and keeps the scan prefix effective as the cache evolves.
-//
-//lint:allow hotalloc amortized writer-path resort, runs every resortEvery lookups rather than per request
-func (d *writeDomain) resortInstances() {
-	s := d.scr
-	if s.cfg.Scan == ScanInsertion {
-		return
-	}
-	insts := make([]*instanceEntry, len(d.instances))
-	copy(insts, d.instances)
-	switch s.cfg.Scan {
-	case ScanByArea:
-		sort.SliceStable(insts, func(i, j int) bool {
-			return regionWeight(insts[i].v) > regionWeight(insts[j].v)
-		})
-	case ScanByUsage:
-		sort.SliceStable(insts, func(i, j int) bool {
-			return insts[i].u.Load() > insts[j].u.Load()
-		})
-	}
-	d.setInstancesLocked(insts)
-	d.publishLocked()
 }
 
 // sweepLocked is the body of SweepRedundantPlans (Appendix F): it tests

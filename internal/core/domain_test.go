@@ -24,7 +24,7 @@ func TestSweepCoalescesIntoSinglePublication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSCR(t, eng, Config{Lambda: 2, StoreAlways: true})
+	s := mustSCR(t, eng, WithLambda(2), WithStoreAlways())
 	for i := 0; i < 300; i++ {
 		if _, err := s.Process(context.Background(), pqotest.RandomSVector(rng, 3)); err != nil {
 			t.Fatal(err)
@@ -56,7 +56,7 @@ func TestSweepCoalescesIntoSinglePublication(t *testing.T) {
 // list — lands under one publication.
 func TestImportSinglePublication(t *testing.T) {
 	eng := realEngine(t)
-	src := mustSCR(t, eng, Config{Lambda: 2, StoreAlways: true})
+	src := mustSCR(t, eng, WithLambda(2), WithStoreAlways())
 	insts, err := workload.GenerateSet(2, 40, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestImportSinglePublication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := mustSCR(t, eng, Config{Lambda: 2})
+	dst := mustSCR(t, eng, WithLambda(2))
 	before := dst.snapshot().version
 	if err := dst.Import(data); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestWriteDomainIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := mustSCR(t, eng, Config{Lambda: 2})
+		s := mustSCR(t, eng, WithLambda(2))
 		if err := dir.Attach(fmt.Sprintf("t%d", i), s); err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestSnapshotImmutableUnderMultiTemplateChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scrs[i] = mustSCR(t, eng, Config{Lambda: 2, PlanBudget: 4, Scan: ScanByUsage, StoreAlways: true})
+		scrs[i] = mustSCR(t, eng, WithLambda(2), WithStoreAlways(), WithPlanBudget(4))
 		if err := dir.Attach(fmt.Sprintf("t%d", i), scrs[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestDirectoryConsistencyUnderChurn(t *testing.T) {
 	const names = 8
 	scrs := make([]*SCR, names)
 	for i := range scrs {
-		scrs[i] = mustSCR(t, eng, Config{Lambda: 2})
+		scrs[i] = mustSCR(t, eng, WithLambda(2))
 	}
 
 	stop := make(chan struct{})
@@ -290,7 +290,7 @@ func TestDirectoryConsistencyUnderChurn(t *testing.T) {
 	wg.Wait()
 	close(stop)
 
-	if err := dir.Attach("t0", mustSCR(t, eng, Config{Lambda: 2})); err == nil {
+	if err := dir.Attach("t0", mustSCR(t, eng, WithLambda(2))); err == nil {
 		dir.Detach("t0")
 	}
 	if _, ok := dir.Lookup("missing"); ok {
@@ -311,11 +311,11 @@ func TestDirectoryAttachRejectsDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := NewDirectory()
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	if err := dir.Attach("q1", s); err != nil {
 		t.Fatal(err)
 	}
-	if err := dir.Attach("q1", mustSCR(t, eng, Config{Lambda: 2})); err == nil {
+	if err := dir.Attach("q1", mustSCR(t, eng, WithLambda(2))); err == nil {
 		t.Fatal("duplicate Attach accepted")
 	}
 	if err := dir.Attach("q2", nil); err == nil {

@@ -3,30 +3,46 @@ package core
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/stripe"
 )
 
 // Option configures an SCR built with New. Options validate their inputs
 // and return errors instead of silently substituting defaults; an invalid
 // option fails New with an error wrapping ErrInvalidConfig.
-type Option func(*Config) error
+type Option func(*config) error
 
 // DefaultLambda is the sub-optimality bound New uses when no WithLambda
 // option is given (the λ=2 operating point the paper evaluates most).
 const DefaultLambda = 2.0
 
-// New builds an SCR over eng from functional options. It replaces the
-// Config-struct constructor NewSCR: every knob is an explicit option with
-// validation, and omitted options take the documented defaults (λ=2,
-// λr=√λ, cost-check limit 8, insertion scan order, no plan budget, no
-// violation detection).
+// New builds an SCR over eng from functional options, the only way to
+// build one. Every knob is an explicit option with validation, and omitted
+// options take the documented defaults (λ=2, λr=√λ, cost-check limit 8, no
+// plan budget, no violation detection).
 func New(eng Engine, opts ...Option) (*SCR, error) {
-	cfg := Config{Lambda: DefaultLambda}
+	cfg := config{Lambda: DefaultLambda, CostCheckLimit: 8, ViolationTolerance: 0.01, SkewBound: 1}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
 	}
-	return NewSCR(eng, cfg)
+	// The one check no single option can make: an explicit λr must not
+	// exceed λ, whichever of WithRedundancyThreshold and WithLambda came
+	// first.
+	if cfg.LambdaR > cfg.Lambda {
+		return nil, optErr("lambdaR %v must lie in [1, lambda %v]", cfg.LambdaR, cfg.Lambda)
+	}
+	s := &SCR{cfg: cfg, eng: eng}
+	s.ctr.hot = stripe.NewSet()
+	if ee, ok := eng.(EpochEngine); ok {
+		s.epochEng = ee
+	}
+	if cfg.BreakerThreshold > 0 {
+		s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+	}
+	s.dom.init(s)
+	return s, nil
 }
 
 func optErr(format string, args ...interface{}) error {
@@ -36,8 +52,8 @@ func optErr(format string, args ...interface{}) error {
 // WithLambda sets the cost sub-optimality bound λ ≥ 1 every processed
 // instance must satisfy.
 func WithLambda(lambda float64) Option {
-	return func(c *Config) error {
-		if lambda < 1 {
+	return func(c *config) error {
+		if !(lambda >= 1) { // also rejects NaN
 			return optErr("lambda %v must be >= 1", lambda)
 		}
 		c.Lambda = lambda
@@ -49,11 +65,11 @@ func WithLambda(lambda float64) Option {
 // get a bound near max, expensive ones near min, decaying exponentially on
 // the refCost scale.
 func WithDynamicLambda(min, max, refCost float64) Option {
-	return func(c *Config) error {
-		if min < 1 || max < min {
+	return func(c *config) error {
+		if !(min >= 1 && max >= min) {
 			return optErr("dynamic lambda range [%v, %v] invalid", min, max)
 		}
-		if refCost <= 0 {
+		if !(refCost > 0) {
 			return optErr("dynamic lambda refCost %v must be > 0", refCost)
 		}
 		c.Dynamic = &DynamicLambda{Min: min, Max: max, RefCost: refCost}
@@ -64,8 +80,8 @@ func WithDynamicLambda(min, max, refCost float64) Option {
 // WithRedundancyThreshold sets the redundancy-check threshold λr in
 // [1, λ] (Appendix E). Without this option λr defaults to √λ.
 func WithRedundancyThreshold(lambdaR float64) Option {
-	return func(c *Config) error {
-		if lambdaR < 1 {
+	return func(c *config) error {
+		if !(lambdaR >= 1) {
 			return optErr("lambdaR %v must be >= 1", lambdaR)
 		}
 		c.LambdaR = lambdaR
@@ -76,7 +92,7 @@ func WithRedundancyThreshold(lambdaR float64) Option {
 // WithStoreAlways disables the redundancy check entirely: every newly
 // optimized plan is kept (λr = 1).
 func WithStoreAlways() Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		c.StoreAlways = true
 		return nil
 	}
@@ -85,7 +101,7 @@ func WithStoreAlways() Option {
 // WithPlanBudget sets the hard limit k ≥ 1 on cached plans (§6.3.1),
 // enforced by LFU eviction. Without this option the cache is unbounded.
 func WithPlanBudget(k int) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if k < 1 {
 			return optErr("plan budget %d must be >= 1 (omit the option for unlimited)", k)
 		}
@@ -97,7 +113,7 @@ func WithPlanBudget(k int) Option {
 // WithCostCheckLimit bounds the number of Recost calls per getPlan to
 // n ≥ 1 (§6.2's pruning heuristic). Without this option the limit is 8.
 func WithCostCheckLimit(n int) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if n < 1 {
 			return optErr("cost-check limit %d must be >= 1 (use WithoutCostCheck to disable)", n)
 		}
@@ -109,43 +125,17 @@ func WithCostCheckLimit(n int) Option {
 // WithoutCostCheck disables the cost check entirely: instances failing the
 // selectivity check go straight to the optimizer.
 func WithoutCostCheck() Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		c.CostCheckLimit = -1
 		return nil
 	}
 }
 
-// WithGLCutoff rejects cost-check candidates whose G·L factor exceeds
-// cutoff > 1.
-func WithGLCutoff(cutoff float64) Option {
-	return func(c *Config) error {
-		if cutoff <= 1 {
-			return optErr("GL cutoff %v must be > 1", cutoff)
-		}
-		c.GLCutoff = cutoff
-		return nil
-	}
-}
-
 // WithCandidateOrderByL sorts cost-check candidates by increasing L
-// instead of the paper's increasing G·L (see Config.OrderCandidatesByL).
+// instead of the paper's increasing G·L (see config.OrderCandidatesByL).
 func WithCandidateOrderByL() Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		c.OrderCandidatesByL = true
-		return nil
-	}
-}
-
-// WithScanOrder selects the instance-list traversal order for the
-// selectivity check (§6.2's alternatives).
-func WithScanOrder(o ScanOrder) Option {
-	return func(c *Config) error {
-		switch o {
-		case ScanInsertion, ScanByArea, ScanByUsage:
-			c.Scan = o
-		default:
-			return optErr("unknown scan order %d", int(o))
-		}
 		return nil
 	}
 }
@@ -158,7 +148,7 @@ func WithScanOrder(o ScanOrder) Option {
 // the full degradation ladder. Context cancellation is never absorbed:
 // a cancelled caller still gets an ErrCancelled error.
 func WithDegradedFallback() Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		c.DegradedFallback = true
 		return nil
 	}
@@ -170,7 +160,7 @@ func WithDegradedFallback() Option {
 // instance is served degraded (with WithDegradedFallback) or fails with
 // ErrOptimizerTimeout.
 func WithOptimizerDeadline(d time.Duration) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if d <= 0 {
 			return optErr("optimizer deadline %v must be > 0", d)
 		}
@@ -186,7 +176,7 @@ func WithOptimizerDeadline(d time.Duration) Option {
 // that miss the cache are served degraded (with WithDegradedFallback) or
 // fail with ErrBreakerOpen.
 func WithCircuitBreaker(failures int, cooldown time.Duration) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if failures < 1 {
 			return optErr("breaker threshold %d must be >= 1", failures)
 		}
@@ -205,7 +195,7 @@ func WithCircuitBreaker(failures int, cooldown time.Duration) Option {
 // bound is 1: adjacent generations only, matching the epoch coordinator's
 // default withhold rule (docs/ROBUSTNESS.md).
 func WithClusterSkewBound(n int) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if n < 1 {
 			return optErr("cluster skew bound %d must be >= 1", n)
 		}
@@ -217,8 +207,8 @@ func WithClusterSkewBound(n int) Option {
 // WithViolationDetection enables Appendix G's BCG-violation quarantine
 // with the given relative tolerance in (0, 1).
 func WithViolationDetection(tolerance float64) Option {
-	return func(c *Config) error {
-		if tolerance <= 0 || tolerance >= 1 {
+	return func(c *config) error {
+		if !(tolerance > 0 && tolerance < 1) {
 			return optErr("violation tolerance %v must be in (0, 1)", tolerance)
 		}
 		c.DetectViolations = true

@@ -141,8 +141,8 @@ var snapshotMagic = []byte("PQOSNAP1")
 const snapshotHeaderLen = len("PQOSNAP1") + 4 + 8
 
 // ErrSnapshotCorrupt reports that a snapshot file exists but its framing
-// is damaged — truncated payload, checksum mismatch, or an impossible
-// length. Callers must treat the snapshot as absent rather than import a
+// is missing or damaged — no magic, truncated payload, checksum mismatch,
+// or an impossible length. Callers must treat the snapshot as absent rather than import a
 // torn write.
 var ErrSnapshotCorrupt = errors.New("pqo: snapshot file corrupt or truncated")
 
@@ -196,17 +196,16 @@ func WriteSnapshotFile(path string, data []byte) (err error) {
 }
 
 // ReadSnapshotFile reads a snapshot written by WriteSnapshotFile and
-// returns its payload after verifying length and checksum; damaged framing
-// yields an error wrapping ErrSnapshotCorrupt. Files that predate the
-// framing (raw Export JSON, no magic) are returned as-is for backward
-// compatibility — they carry no integrity protection.
+// returns its payload after verifying magic, length and checksum. A file
+// without the PQOSNAP1 magic (raw Export JSON included) or with damaged
+// framing yields an error wrapping ErrSnapshotCorrupt.
 func ReadSnapshotFile(path string) ([]byte, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	if !bytes.HasPrefix(raw, snapshotMagic) {
-		return raw, nil // legacy unframed snapshot
+		return nil, fmt.Errorf("%w: %s: no %s magic", ErrSnapshotCorrupt, path, snapshotMagic)
 	}
 	if len(raw) < snapshotHeaderLen {
 		return nil, fmt.Errorf("%w: %s: %d-byte header truncated", ErrSnapshotCorrupt, path, len(raw))

@@ -46,7 +46,7 @@ func realEngine(t *testing.T) *engine.TemplateEngine {
 
 func TestExportImportRoundTrip(t *testing.T) {
 	eng := realEngine(t)
-	s1, err := NewSCR(eng, Config{Lambda: 2})
+	s1, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 	// A fresh SCR (new process, same engine) imports the cache and serves
 	// the same instances without any optimizer call.
-	s2, err := NewSCR(eng, Config{Lambda: 2})
+	s2, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestExportImportSuitePlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s1, err := NewSCR(eng, Config{Lambda: 2})
+		s1, err := New(eng, WithLambda(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestExportImportSuitePlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := NewSCR(eng, Config{Lambda: 2})
+		s2, err := New(eng, WithLambda(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestExportImportSuitePlans(t *testing.T) {
 
 func TestImportValidation(t *testing.T) {
 	eng := realEngine(t)
-	s, err := NewSCR(eng, Config{Lambda: 2})
+	s, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestImportValidation(t *testing.T) {
 		t.Errorf("import into non-empty cache: err = %v", err)
 	}
 	// Budget enforcement on import.
-	s2, err := NewSCR(eng, Config{Lambda: 2, PlanBudget: 1})
+	s2, err := New(eng, WithLambda(2), WithPlanBudget(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := NewSCR(eng, Config{Lambda: 2})
+	s3, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestImportRequiresRehydrator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSCR(eng, Config{Lambda: 2})
+	s, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestImportedGuaranteeStillHolds(t *testing.T) {
 	// After a round trip, the λ guarantee must hold for fresh instances:
 	// the imported S and C values drive the checks.
 	eng := realEngine(t)
-	s1, err := NewSCR(eng, Config{Lambda: 2})
+	s1, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestImportedGuaranteeStillHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewSCR(eng, Config{Lambda: 2})
+	s2, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestImportedGuaranteeStillHolds(t *testing.T) {
 
 func TestInspectSnapshot(t *testing.T) {
 	eng := realEngine(t)
-	s, err := NewSCR(eng, Config{Lambda: 2})
+	s, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestInspectSnapshot(t *testing.T) {
 // WriteSnapshotFile/ReadSnapshotFile: the framed file round-trips, every
 // torn or bit-flipped variant is rejected with ErrSnapshotCorrupt instead
 // of being half-imported, an interrupted rewrite leaves the previous
-// snapshot readable, and pre-framing files still pass through.
+// snapshot readable, and an unframed file is rejected too.
 func TestSnapshotFileCrashSafety(t *testing.T) {
 	payload := []byte(`{"plans":[],"instances":[]}`)
 	newer := []byte(`{"plans":[],"instances":[],"note":"newer generation"}`)
@@ -412,17 +412,13 @@ func TestSnapshotFileCrashSafety(t *testing.T) {
 		}
 	})
 
-	t.Run("legacy-unframed-passthrough", func(t *testing.T) {
+	t.Run("unframed-rejected", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "snap.json")
 		if err := os.WriteFile(path, payload, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadSnapshotFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("legacy passthrough = %q, want %q", got, payload)
+		if got, err := ReadSnapshotFile(path); !errors.Is(err, ErrSnapshotCorrupt) || got != nil {
+			t.Fatalf("unframed file = %q, %v, want ErrSnapshotCorrupt", got, err)
 		}
 	})
 }

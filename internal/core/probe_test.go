@@ -12,21 +12,20 @@ import (
 // TestProbeCheckMatchesProcess: ProbeCheck must classify every instance
 // exactly as Process then serves it. The caches are random and half
 // their anchors lag a statistics epoch advance; the ablations that
-// change candidate selection (GL cutoff, L ordering, a cost-check limit
-// of one over vectors whose GL values tie exactly) and violation
-// detection over plans that break BCG each get their own case.
+// change candidate selection (L ordering, a cost-check limit of one over
+// vectors whose GL values tie exactly) and violation detection over
+// plans that break BCG each get their own case.
 func TestProbeCheckMatchesProcess(t *testing.T) {
 	cases := []struct {
 		name  string
-		cfg   Config
+		opts  []Option
 		jumpy bool // plans with cost jumps, which violate BCG
 		grid  bool // vectors on a power-of-two grid, so GL values tie exactly
 	}{
-		{name: "default", cfg: Config{Lambda: 1.2}},
-		{name: "violation-detection", cfg: Config{Lambda: 1.2, DetectViolations: true, ViolationTolerance: 0.01}, jumpy: true},
-		{name: "gl-cutoff", cfg: Config{Lambda: 1.2, GLCutoff: 20}},
-		{name: "order-by-l", cfg: Config{Lambda: 1.2, OrderCandidatesByL: true}},
-		{name: "cost-check-limit-1", cfg: Config{Lambda: 1.2, CostCheckLimit: 1}, grid: true},
+		{name: "default"},
+		{name: "violation-detection", opts: []Option{WithViolationDetection(0.01)}, jumpy: true},
+		{name: "order-by-l", opts: []Option{WithCandidateOrderByL()}},
+		{name: "cost-check-limit-1", opts: []Option{WithCostCheckLimit(1)}, grid: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,7 +35,7 @@ func TestProbeCheckMatchesProcess(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				eng := probeEngine(t, rng, tc.jumpy)
 				ee := pqotest.NewEpochEngine(eng)
-				s := mustSCR(t, ee, tc.cfg)
+				s := mustSCR(t, ee, append([]Option{WithLambda(1.2)}, tc.opts...)...)
 				vector := func() []float64 {
 					if !tc.grid {
 						return pqotest.RandomSVector(rng, 3)
@@ -84,7 +83,7 @@ func TestProbeCheckMatchesProcess(t *testing.T) {
 					t.Errorf("no instance served %v: %v", via, vias)
 				}
 			}
-			if tc.cfg.DetectViolations && violations == 0 {
+			if tc.jumpy && violations == 0 {
 				t.Error("no BCG violation detected")
 			}
 		})

@@ -13,19 +13,16 @@ import (
 	"repro/internal/stripe"
 )
 
-// Config parameterizes SCR.
-//
-// Deprecated: Config retains its original zero-value-magic semantics
-// (LambdaR 0 → √λ, CostCheckLimit 0 → 8, ViolationTolerance 0 → 1%) for
-// callers of NewSCR. New code should build SCRs with New and functional
-// options (WithLambda, WithPlanBudget, WithDynamicLambda, ...), which
-// validate every value explicitly.
-type Config struct {
+// config parameterizes SCR. It is built only by New from Options, which
+// validate every value, so the fields below hold validated values and New's
+// defaults: λ=2, λr=√λ (LambdaR 0), cost-check limit 8, no plan budget,
+// violation tolerance 1%, cluster skew bound 1.
+type config struct {
 	// Lambda is the cost sub-optimality bound λ ≥ 1 every processed
 	// instance must satisfy (SO(q) ≤ λ).
 	Lambda float64
-	// LambdaR is the redundancy-check threshold λr < λ. Zero selects the
-	// paper's default √λ (Appendix E). Set StoreAlways to disable the
+	// LambdaR is the redundancy-check threshold λr ≤ λ. Zero selects the
+	// paper's default √λ (Appendix E). StoreAlways disables the
 	// redundancy check entirely (λr = 1, i.e. keep every new plan).
 	LambdaR     float64
 	StoreAlways bool
@@ -34,12 +31,9 @@ type Config struct {
 	PlanBudget int
 	// CostCheckLimit bounds the number of Recost calls per getPlan: the
 	// selectivity check collects cost-check candidates in increasing GL
-	// order and rejects the rest (§6.2's pruning heuristic). Zero selects
-	// the default of 8. Negative disables the cost check entirely.
+	// order and rejects the rest (§6.2's pruning heuristic). Negative
+	// disables the cost check entirely.
 	CostCheckLimit int
-	// GLCutoff additionally rejects cost-check candidates whose GL exceeds
-	// this value; zero disables the cutoff.
-	GLCutoff float64
 	// OrderCandidatesByL sorts cost-check candidates by increasing L
 	// instead of the paper's increasing G·L. Rationale (an extension over
 	// §6.2): the cost check replaces G with the measured ratio R, so a
@@ -50,15 +44,10 @@ type Config struct {
 	// calls on high-dimensional templates (see the candidate-order
 	// ablation bench).
 	OrderCandidatesByL bool
-	// Scan selects the instance-list traversal order for the selectivity
-	// check (§6.2's alternatives): insertion order (default), decreasing
-	// selectivity-region area, or decreasing usage count.
-	Scan ScanOrder
 	// DetectViolations enables Appendix G: instances whose recost reveals
-	// a BCG violation are quarantined from future cost-check reuse.
-	DetectViolations bool
-	// ViolationTolerance is the relative slack for violation detection;
-	// zero selects 1%.
+	// a BCG violation are quarantined from future cost-check reuse, with
+	// ViolationTolerance as the relative slack.
+	DetectViolations   bool
 	ViolationTolerance float64
 	// Dynamic enables Appendix D's per-instance λ; nil keeps λ static.
 	Dynamic *DynamicLambda
@@ -83,8 +72,7 @@ type Config struct {
 	// tolerates before flagging its decisions: when the observed cluster
 	// epoch (ObserveClusterEpoch) exceeds the node's own epoch by more
 	// than this many generations, every decision is served degraded with
-	// DegradedEpochSkew. Zero selects the default of 1 — adjacent
-	// generations only, matching the coordinator's default withhold rule.
+	// DegradedEpochSkew.
 	SkewBound int
 }
 
@@ -99,19 +87,15 @@ type DynamicLambda struct {
 
 // lambdaFor returns the sub-optimality bound to enforce for an instance
 // whose optimal cost is c.
-func (c0 *Config) lambdaFor(c float64) float64 {
+func (c0 *config) lambdaFor(c float64) float64 {
 	if c0.Dynamic == nil {
 		return c0.Lambda
 	}
 	d := c0.Dynamic
-	ref := d.RefCost
-	if ref <= 0 {
-		ref = 1
-	}
-	return d.Min + (d.Max-d.Min)*math.Exp(-c/ref)
+	return d.Min + (d.Max-d.Min)*math.Exp(-c/d.RefCost)
 }
 
-func (c0 *Config) lambdaR() float64 {
+func (c0 *config) lambdaR() float64 {
 	if c0.StoreAlways {
 		return 1
 	}
@@ -126,56 +110,11 @@ func (c0 *Config) lambdaR() float64 {
 // selectivity-index search window — an entry can only pass the
 // selectivity check for a query whose region weight is within a λmax
 // factor of the entry's (see selHit).
-func (c0 *Config) lambdaMax() float64 {
+func (c0 *config) lambdaMax() float64 {
 	if c0.Dynamic != nil {
 		return c0.Dynamic.Max
 	}
 	return c0.Lambda
-}
-
-func (c0 *Config) costCheckLimit() int {
-	if c0.CostCheckLimit == 0 {
-		return 8
-	}
-	return c0.CostCheckLimit
-}
-
-func (c0 *Config) validate() error {
-	if c0.Lambda < 1 {
-		return optErr("lambda %v must be >= 1", c0.Lambda)
-	}
-	if c0.LambdaR != 0 && (c0.LambdaR < 1 || c0.LambdaR > c0.Lambda) {
-		return optErr("lambdaR %v must lie in [1, lambda]", c0.LambdaR)
-	}
-	if c0.PlanBudget < 0 {
-		return optErr("plan budget %v must be >= 0", c0.PlanBudget)
-	}
-	if d := c0.Dynamic; d != nil {
-		if d.Min < 1 || d.Max < d.Min {
-			return optErr("dynamic lambda range [%v,%v] invalid", d.Min, d.Max)
-		}
-	}
-	if c0.OptimizerDeadline < 0 {
-		return optErr("optimizer deadline %v must be >= 0", c0.OptimizerDeadline)
-	}
-	if c0.BreakerThreshold < 0 {
-		return optErr("breaker threshold %d must be >= 0", c0.BreakerThreshold)
-	}
-	if c0.BreakerThreshold > 0 && c0.BreakerCooldown <= 0 {
-		return optErr("breaker cooldown %v must be > 0", c0.BreakerCooldown)
-	}
-	if c0.SkewBound < 0 {
-		return optErr("cluster skew bound %d must be >= 0", c0.SkewBound)
-	}
-	return nil
-}
-
-// skewBound is the effective cross-node skew tolerance (generations).
-func (c0 *Config) skewBound() uint64 {
-	if c0.SkewBound > 0 {
-		return uint64(c0.SkewBound)
-	}
-	return 1
 }
 
 // planEntry is one plan in the plan cache's plan list.
@@ -244,7 +183,7 @@ type counters struct {
 	// hot holds the counters bumped by every Process / selectivity check /
 	// cost check, and the writer wait: under a miss-heavy load every
 	// Process may charge it, and the whole point of sharded write domains
-	// is that those writers not share a cache line. Allocated in NewSCR.
+	// is that those writers not share a cache line. Allocated in New.
 	hot stripe.Set
 
 	// Cold: slow-path only.
@@ -293,7 +232,8 @@ type counters struct {
 // copy-on-write on every plan-set change, so the published header always
 // names an array the master will never touch.
 type cacheSnapshot struct {
-	// instances is the scan-ordered instance list (the 5-tuples of §6.1).
+	// instances is the instance list in insertion order (the 5-tuples of
+	// §6.1).
 	instances []*instanceEntry
 	// plans is the plan list in ascending fingerprint order — the
 	// deterministic iteration the degraded fallback and Export need.
@@ -328,7 +268,7 @@ type cacheSnapshot struct {
 // re-checks the cache once more before optimizing, so a burst of
 // identical cold instances performs exactly one optimizer call.
 type SCR struct {
-	cfg Config
+	cfg config
 	eng Engine
 	// epochEng is eng's versioned-statistics surface, nil when the engine
 	// has no epoch lifecycle (then every anchor is at epoch 0 forever and
@@ -357,33 +297,12 @@ type SCR struct {
 	// clusterEpoch is the highest cluster-wide statistics generation the
 	// node has observed via ObserveClusterEpoch (zero until a coordinator
 	// speaks). When it runs ahead of the engine's own epoch by more than
-	// cfg.skewBound() generations, Process flags every decision with
+	// cfg.SkewBound generations, Process flags every decision with
 	// DegradedEpochSkew instead of silently serving across the bound.
 	clusterEpoch atomic.Uint64
 
-	flight  flightGroup
-	lookups atomic.Int64
-	ctr     counters
-}
-
-// NewSCR returns an SCR technique over eng with the given configuration.
-//
-// Deprecated: use New with functional options; NewSCR remains for one
-// release for callers holding a Config.
-func NewSCR(eng Engine, cfg Config) (*SCR, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	s := &SCR{cfg: cfg, eng: eng}
-	s.ctr.hot = stripe.NewSet()
-	if ee, ok := eng.(EpochEngine); ok {
-		s.epochEng = ee
-	}
-	if cfg.BreakerThreshold > 0 {
-		s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	}
-	s.dom.init(s)
-	return s, nil
+	flight flightGroup
+	ctr    counters
 }
 
 // statsEpoch returns the engine's current statistics epoch id, 0 for
@@ -442,7 +361,7 @@ func (s *SCR) EpochSkew() uint64 {
 // default 1) — the condition under which Process flags every decision
 // DegradedEpochSkew and health surfaces should report the node degraded.
 func (s *SCR) SkewLagging() bool {
-	return s.EpochSkew() > s.cfg.skewBound()
+	return s.EpochSkew() > uint64(s.cfg.SkewBound)
 }
 
 // flagSkew demotes a healthy decision to an explicitly flagged one when
@@ -599,7 +518,6 @@ func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err err
 	if err := ctx.Err(); err != nil {
 		return nil, cancelled(err)
 	}
-	s.maybeResort()
 	if s.cfg.DegradedFallback {
 		// Last-resort containment: a panic anywhere below (an engine crash
 		// bug reached through the checks) becomes a degraded decision.
@@ -692,23 +610,6 @@ func (s *SCR) storePlan(sv []float64, cp *engine.CachedPlan, optCost float64, ep
 	return d.manageCache(sv, cp, optCost, epoch)
 }
 
-// maybeResort refreshes the instance-list ordering per the configured scan
-// order (§6.2) on a lookup cadence: usage counts and region areas evolve
-// with traffic, so the ordering is refreshed periodically rather than only
-// on insertion.
-func (s *SCR) maybeResort() {
-	if s.cfg.Scan == ScanInsertion {
-		return
-	}
-	if s.lookups.Add(1)%resortEvery != 0 {
-		return
-	}
-	d := &s.dom
-	d.lock()
-	defer d.unlock()
-	d.resortInstances()
-}
-
 // snapshot returns the published cache snapshot: one atomic load, no
 // locks. The snapshot is immutable (instanceEntry atomic fields aside)
 // and stays valid indefinitely — writers publish replacements, they never
@@ -741,6 +642,16 @@ type selIndex struct {
 	keys []float64        // region weight per entry, ascending
 	ents []*instanceEntry // entry at keys[i]
 	pos  []int32          // ents[i]'s position in the snapshot's scan order
+}
+
+// regionWeight is a vector's selectivity-index key: the product ∏ si of
+// its selectivities.
+func regionWeight(sv []float64) float64 {
+	w := 1.0
+	for _, s := range sv {
+		w *= s
+	}
+	return w
 }
 
 // buildSelIndex constructs the index over insts from scratch: the merge
@@ -814,7 +725,7 @@ type cand struct {
 // the selectivity-check pass that comes first in scan order (hit), the
 // lowest-GL non-quarantined entry anchored under an older epoch (lag, for
 // the flagged fallback), each with the anchor it was read under, and the
-// costCheckLimit most promising current-epoch candidates in increasing
+// cost-check limit's most promising current-epoch candidates in increasing
 // order key, ties in scan order.
 type scanResult struct {
 	hit, lag       *instanceEntry
@@ -846,10 +757,7 @@ func (s *SCR) scan(snap *cacheSnapshot, sv []float64, cur uint64) (scanResult, e
 	// bounded insertion-sorted list instead of collecting and sorting
 	// every entry: on the hot path this is the difference between O(keep)
 	// extra memory and an O(instances) allocation + sort per lookup.
-	keep := s.cfg.costCheckLimit()
-	if keep < 0 {
-		keep = 0
-	}
+	keep := max(s.cfg.CostCheckLimit, 0)
 	// A limit larger than the instance list (e.g. the "recost all"
 	// ablation's 1<<30) must not become the allocation size.
 	capHint := keep
@@ -921,10 +829,6 @@ func (s *SCR) costCheck(ctx context.Context, sv []float64, cands []cand, cur uin
 	if len(cands) == 0 {
 		return nil, 0, nil
 	}
-	tol := s.cfg.ViolationTolerance
-	if tol <= 0 {
-		tol = 0.01
-	}
 	// Batch: build selectivity state once for this instance, recost every
 	// cost-check candidate against it. If the epoch advanced between the
 	// scan and this preparation, the candidates' anchors no longer match
@@ -938,9 +842,6 @@ func (s *SCR) costCheck(ctx context.Context, sv []float64, cands []cand, cur uin
 	}
 	for i := range cands {
 		c := &cands[i]
-		if s.cfg.GLCutoff > 0 && c.g*c.l > s.cfg.GLCutoff {
-			break
-		}
 		if ctx != nil && ctx.Err() != nil {
 			return nil, recosts, cancelled(ctx.Err())
 		}
@@ -956,7 +857,7 @@ func (s *SCR) costCheck(ctx context.Context, sv []float64, cands []cand, cur uin
 		}
 		// Appendix G: the BCG bounds constrain the plan's own cost ratio
 		// between qe and qc; Cost(PP, qe) = C·S.
-		if s.cfg.DetectViolations && ViolatesBCG(newCost/(c.a.c*c.a.s), c.g, c.l, tol) {
+		if s.cfg.DetectViolations && ViolatesBCG(newCost/(c.a.c*c.a.s), c.g, c.l, s.cfg.ViolationTolerance) {
 			c.violates = true
 			continue
 		}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/pqotest"
 )
@@ -25,38 +27,72 @@ func twoPlaneEngine(t *testing.T) *pqotest.Engine {
 	return eng
 }
 
-func mustSCR(t *testing.T, eng Engine, cfg Config) *SCR {
+func mustSCR(t *testing.T, eng Engine, opts ...Option) *SCR {
 	t.Helper()
-	s, err := NewSCR(eng, cfg)
+	s, err := New(eng, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// TestConfigValidation: every option with an input rejects each invalid
+// value with ErrInvalidConfig, and λr > λ is rejected whichever of the two
+// options comes first.
 func TestConfigValidation(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	bad := []Config{
-		{Lambda: 0.5},
-		{Lambda: 2, LambdaR: 0.5},
-		{Lambda: 2, LambdaR: 3},
-		{Lambda: 2, PlanBudget: -1},
-		{Lambda: 2, Dynamic: &DynamicLambda{Min: 0.5, Max: 2}},
-		{Lambda: 2, Dynamic: &DynamicLambda{Min: 3, Max: 2}},
+	nan := math.NaN()
+	bad := []struct {
+		name string
+		opts []Option
+	}{
+		{"lambda<1", []Option{WithLambda(0.5)}},
+		{"lambda-nan", []Option{WithLambda(nan)}},
+		{"dynamic-min<1", []Option{WithDynamicLambda(0.5, 2, 10)}},
+		{"dynamic-max<min", []Option{WithDynamicLambda(3, 2, 10)}},
+		{"dynamic-nan", []Option{WithDynamicLambda(nan, 2, 10)}},
+		{"dynamic-refcost-zero", []Option{WithDynamicLambda(1, 2, 0)}},
+		{"dynamic-refcost-negative", []Option{WithDynamicLambda(1, 2, -1)}},
+		{"lambdaR<1", []Option{WithRedundancyThreshold(0.5)}},
+		{"lambdaR-nan", []Option{WithRedundancyThreshold(nan)}},
+		{"lambdaR>lambda", []Option{WithLambda(2), WithRedundancyThreshold(3)}},
+		{"lambdaR>lambda-reversed", []Option{WithRedundancyThreshold(3), WithLambda(2)}},
+		{"lambdaR>default-lambda", []Option{WithRedundancyThreshold(3)}},
+		{"plan-budget-zero", []Option{WithPlanBudget(0)}},
+		{"plan-budget-negative", []Option{WithPlanBudget(-1)}},
+		{"cost-check-limit-zero", []Option{WithCostCheckLimit(0)}},
+		{"cost-check-limit-negative", []Option{WithCostCheckLimit(-1)}},
+		{"deadline-zero", []Option{WithOptimizerDeadline(0)}},
+		{"deadline-negative", []Option{WithOptimizerDeadline(-time.Second)}},
+		{"breaker-threshold-zero", []Option{WithCircuitBreaker(0, time.Second)}},
+		{"breaker-cooldown-zero", []Option{WithCircuitBreaker(1, 0)}},
+		{"skew-bound-zero", []Option{WithClusterSkewBound(0)}},
+		{"violation-tolerance-zero", []Option{WithViolationDetection(0)}},
+		{"violation-tolerance-negative", []Option{WithViolationDetection(-0.01)}},
+		{"violation-tolerance-one", []Option{WithViolationDetection(1)}},
+		{"violation-tolerance-nan", []Option{WithViolationDetection(nan)}},
 	}
-	for i, cfg := range bad {
-		if _, err := NewSCR(eng, cfg); err == nil {
-			t.Errorf("config %d (%+v) should be rejected", i, cfg)
+	for _, tc := range bad {
+		if _, err := New(eng, tc.opts...); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: err = %v, want ErrInvalidConfig", tc.name, err)
 		}
 	}
-	if _, err := NewSCR(eng, Config{Lambda: 1}); err != nil {
-		t.Errorf("λ=1 must be accepted: %v", err)
+	good := [][]Option{
+		{WithLambda(1)},
+		{WithLambda(2), WithRedundancyThreshold(2)},
+		{WithRedundancyThreshold(2), WithLambda(2)},
+		{WithDynamicLambda(1, 1, 1)},
+	}
+	for i, opts := range good {
+		if _, err := New(eng, opts...); err != nil {
+			t.Errorf("valid option set %d rejected: %v", i, err)
+		}
 	}
 }
 
 func TestFirstInstanceOptimizes(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	dec, err := s.Process(context.Background(), []float64{0.01, 0.01})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +108,7 @@ func TestFirstInstanceOptimizes(t *testing.T) {
 
 func TestSelectivityCheckReuse(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	if _, err := s.Process(context.Background(), []float64{0.01, 0.01}); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +141,7 @@ func TestCostCheckReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSCR(t, eng, Config{Lambda: 1.5})
+	s := mustSCR(t, eng, WithLambda(1.5))
 	if _, err := s.Process(context.Background(), []float64{0.9, 0.9}); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +160,7 @@ func TestCostCheckReuse(t *testing.T) {
 	// Now move *upwards* in dimension 1 from the first instance: G large,
 	// L = 1. Selectivity check: G·L = G may exceed λ, but R = actual
 	// growth is tiny because Const dominates → cost check passes.
-	s2 := mustSCR(t, eng, Config{Lambda: 1.5})
+	s2 := mustSCR(t, eng, WithLambda(1.5))
 	if _, err := s2.Process(context.Background(), []float64{0.9, 0.001}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +188,7 @@ func TestGuaranteeProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := mustSCR(t, eng, Config{Lambda: lambda})
+			s := mustSCR(t, eng, WithLambda(lambda))
 			for i := 0; i < 300; i++ {
 				sv := pqotest.RandomSVector(rng, d)
 				dec, err := s.Process(context.Background(), sv)
@@ -175,7 +211,7 @@ func TestGuaranteeHoldsUnderPlanBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSCR(t, eng, Config{Lambda: 2, PlanBudget: 2})
+	s := mustSCR(t, eng, WithLambda(2), WithPlanBudget(2))
 	for i := 0; i < 400; i++ {
 		sv := pqotest.RandomSVector(rng, 3)
 		dec, err := s.Process(context.Background(), sv)
@@ -207,8 +243,8 @@ func TestRedundancyCheckReducesPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withRC := mustSCR(t, eng1, Config{Lambda: 2}) // λr = √2
-	storeAll := mustSCR(t, eng2, Config{Lambda: 2, StoreAlways: true})
+	withRC := mustSCR(t, eng1, WithLambda(2)) // λr = √2
+	storeAll := mustSCR(t, eng2, WithLambda(2), WithStoreAlways())
 	seqRng := rand.New(rand.NewSource(99))
 	svs := make([][]float64, 500)
 	for i := range svs {
@@ -241,7 +277,7 @@ func TestCostCheckLimitBoundsRecosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	limit := 3
-	s := mustSCR(t, eng, Config{Lambda: 1.1, CostCheckLimit: limit, StoreAlways: true})
+	s := mustSCR(t, eng, WithLambda(1.1), WithStoreAlways(), WithCostCheckLimit(limit))
 	maxPerCall := int64(0)
 	var prev int64
 	for i := 0; i < 200; i++ {
@@ -262,7 +298,7 @@ func TestCostCheckLimitBoundsRecosts(t *testing.T) {
 
 func TestCostCheckDisabled(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 2, CostCheckLimit: -1})
+	s := mustSCR(t, eng, WithLambda(2), WithoutCostCheck())
 	if _, err := s.Process(context.Background(), []float64{0.5, 0.5}); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +313,7 @@ func TestCostCheckDisabled(t *testing.T) {
 func TestDynamicLambdaLoosensCheapInstances(t *testing.T) {
 	// With dynamic λ, a cheap instance (cost << RefCost) gets λ close to
 	// Max; an expensive one (cost >> RefCost) gets λ close to Min.
-	cfg := Config{Lambda: 1.1, Dynamic: &DynamicLambda{Min: 1.1, Max: 10, RefCost: 100}}
+	cfg := config{Lambda: 1.1, Dynamic: &DynamicLambda{Min: 1.1, Max: 10, RefCost: 100}}
 	if got := cfg.lambdaFor(0.01); math.Abs(got-10) > 0.01 {
 		t.Errorf("λ(cheap) = %v, want ~10", got)
 	}
@@ -296,9 +332,8 @@ func TestDynamicLambdaLoosensCheapInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn := mustSCR(t, engDyn, Config{Lambda: 1.1,
-		Dynamic: &DynamicLambda{Min: 1.1, Max: 10, RefCost: 50}})
-	stat := mustSCR(t, engStat, Config{Lambda: 1.1})
+	dyn := mustSCR(t, engDyn, WithLambda(1.1), WithDynamicLambda(1.1, 10, 50))
+	stat := mustSCR(t, engStat, WithLambda(1.1))
 	seq := rand.New(rand.NewSource(31))
 	for i := 0; i < 400; i++ {
 		sv := pqotest.RandomSVector(seq, 3)
@@ -329,7 +364,7 @@ func TestViolationDetectionQuarantines(t *testing.T) {
 	}
 	// λ tight enough that G·L = 1.5 fails the selectivity check and the
 	// instance reaches the cost check, where the jump is observable.
-	s := mustSCR(t, eng, Config{Lambda: 1.2, DetectViolations: true})
+	s := mustSCR(t, eng, WithLambda(1.2), WithViolationDetection(0.01))
 	if _, err := s.Process(context.Background(), []float64{0.4, 0.4}); err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +385,7 @@ func TestSweepRedundantPlans(t *testing.T) {
 	}
 	// Store-always accumulates redundant plans; the Appendix F sweep should
 	// then find some to drop.
-	s := mustSCR(t, eng, Config{Lambda: 2, StoreAlways: true})
+	s := mustSCR(t, eng, WithLambda(2), WithStoreAlways())
 	for i := 0; i < 300; i++ {
 		if _, err := s.Process(context.Background(), pqotest.RandomSVector(rng, 3)); err != nil {
 			t.Fatal(err)
@@ -387,7 +422,7 @@ func TestSCRSavesOptimizerCallsOnClusteredWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	centers := [][]float64{{0.001, 0.002}, {0.3, 0.4}, {0.05, 0.9}}
 	n := 300
 	for i := 0; i < n; i++ {
@@ -408,7 +443,7 @@ func TestSCRSavesOptimizerCallsOnClusteredWorkload(t *testing.T) {
 
 func TestNumInstancesTracksOptimizedOnly(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	if _, err := s.Process(context.Background(), []float64{0.01, 0.01}); err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +459,7 @@ func TestNumInstancesTracksOptimizedOnly(t *testing.T) {
 
 func TestStatsMemoryAccounting(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 1, StoreAlways: true})
+	s := mustSCR(t, eng, WithLambda(1), WithStoreAlways())
 	if _, err := s.Process(context.Background(), []float64{0.001, 0.9}); err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +477,7 @@ func TestStatsMemoryAccounting(t *testing.T) {
 
 func TestSeedInstanceValidation(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	cp, c, err := eng.Optimize([]float64{0.01, 0.01})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +501,7 @@ func TestSeedInstanceValidation(t *testing.T) {
 		t.Errorf("seed not recorded: %+v", s.Stats())
 	}
 	// Budget enforcement on seeding.
-	s2 := mustSCR(t, eng, Config{Lambda: 2, PlanBudget: 1})
+	s2 := mustSCR(t, eng, WithLambda(2), WithPlanBudget(1))
 	if err := s2.SeedInstance([]float64{0.01, 0.01}, cp, c, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +524,7 @@ func TestSeededGuaranteeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	// Offline phase: probe a grid, seed each point's optimal plan.
 	for _, x := range []float64{0.001, 0.01, 0.1, 0.5} {
 		for _, y := range []float64{0.001, 0.01, 0.1, 0.5} {

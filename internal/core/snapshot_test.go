@@ -100,7 +100,7 @@ func (f *snapshotFingerprint) verify(t *testing.T, snap *cacheSnapshot) {
 // invariant: once published, a cacheSnapshot is never mutated — writers
 // build replacements, readers keep scanning old snapshots indefinitely.
 // Readers here capture a snapshot, deep-fingerprint it, wait out heavy
-// concurrent writer churn (inserts, evictions, sweeps, seeds, re-sorts),
+// concurrent writer churn (inserts, evictions, sweeps, seeds),
 // and then verify the captured snapshot byte-for-byte. Run under -race:
 // the fingerprint re-reads would also race with any in-place writer
 // mutation the comparison failed to catch semantically.
@@ -110,10 +110,11 @@ func TestSnapshotImmutableUnderWriterChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A small plan budget forces evictions (instance-list rewrites) and
-	// ScanByUsage forces periodic re-sorts — the mutations most likely to
-	// touch a published array if the copy-on-write discipline slipped.
-	s, err := NewSCR(eng, Config{Lambda: 2, PlanBudget: 4, Scan: ScanByUsage, StoreAlways: true})
+	// A small plan budget forces evictions (instance-list rewrites) — the
+	// mutations most likely to touch a published array if the
+	// copy-on-write discipline slipped — and StoreAlways keeps every new
+	// plan, so the budget binds.
+	s, err := New(eng, WithLambda(2), WithStoreAlways(), WithPlanBudget(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestProcessRejectsInvalidVector(t *testing.T) {
 
 func TestSeedInstanceRejectsInvalidVector(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	cp, c, err := eng.Optimize([]float64{0.5, 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestSeedInstanceRejectsInvalidVector(t *testing.T) {
 // is installed, and the cache still imports a valid snapshot afterwards.
 func TestImportRejectsInvalidVector(t *testing.T) {
 	eng := realEngine(t)
-	src := mustSCR(t, eng, Config{Lambda: 2})
+	src := mustSCR(t, eng, WithLambda(2))
 	if _, err := src.Process(context.Background(), []float64{0.1, 0.1}); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestImportRejectsInvalidVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := mustSCR(t, eng, Config{Lambda: 2})
+	dst := mustSCR(t, eng, WithLambda(2))
 	if err := dst.Import(bad); !errors.Is(err, ErrInvalidVector) {
 		t.Fatalf("Import err = %v, want ErrInvalidVector", err)
 	}

@@ -291,12 +291,12 @@ func (r *Runner) Fig19() ([]BudgetPoint, error) {
 	}
 	var points []BudgetPoint
 	for _, k := range []int{0, 10, 5, 2} {
-		cfg := core.Config{Lambda: 2, PlanBudget: k, DetectViolations: true}
-		label := "SCR2/k=inf"
+		f := SCRFactory(2)
+		f.Label = "SCR2/k=inf"
 		if k > 0 {
-			label = fmt.Sprintf("SCR2/k=%d", k)
+			f = SCRFactory(2, core.WithPlanBudget(k))
+			f.Label = fmt.Sprintf("SCR2/k=%d", k)
 		}
-		f := SCRConfigFactory(label, cfg)
 		results, err := r.RunTechnique(f, seqs, harness.Options{})
 		if err != nil {
 			return nil, err

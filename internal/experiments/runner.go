@@ -201,22 +201,14 @@ type Factory struct {
 	New   func(eng core.Engine) (core.Technique, error)
 }
 
-// SCRFactory returns a factory for SCR with the given λ.
-func SCRFactory(lambda float64) Factory {
+// SCRFactory returns a factory for SCR with the given λ and Appendix G
+// violation detection at 1% tolerance; opts add to or override those.
+func SCRFactory(lambda float64, opts ...core.Option) Factory {
+	opts = append([]core.Option{core.WithLambda(lambda), core.WithViolationDetection(0.01)}, opts...)
 	return Factory{
 		Label: fmt.Sprintf("SCR%g", lambda),
 		New: func(eng core.Engine) (core.Technique, error) {
-			return core.NewSCR(eng, core.Config{Lambda: lambda, DetectViolations: true})
-		},
-	}
-}
-
-// SCRConfigFactory returns a factory for SCR with an explicit config.
-func SCRConfigFactory(label string, cfg core.Config) Factory {
-	return Factory{
-		Label: label,
-		New: func(eng core.Engine) (core.Technique, error) {
-			return core.NewSCR(eng, cfg)
+			return core.New(eng, opts...)
 		},
 	}
 }

@@ -13,35 +13,36 @@ import (
 	"repro/pqo"
 )
 
-// TestLegacyRedirects asserts every pre-versioning path answers 308 with
-// the /v1 target in Location, for the method the route serves (308
-// preserves method and body, so POST clients survive the move).
+// TestLegacyRedirects asserts the pre-versioning redirects are retired and
+// no route answers outside /v1: the unversioned form of every registered
+// path, POSTed with a plan body or fetched with the route's own method,
+// gets 404 with the ErrNotFound envelope naming the /v1 prefix, and no
+// Location header.
 func TestLegacyRedirects(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	h := s.Handler()
-	n := 0
+	body, _ := json.Marshal(PlanRequest{Template: "t1", SVector: []float64{0.1, 0.2}})
 	for _, rt := range s.routes() {
-		if rt.legacy == "" {
+		path := strings.TrimPrefix(rt.path, APIVersion)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(rt.method, path, bytes.NewReader(body)))
+		if w.Code != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", rt.method, path, w.Code)
 			continue
 		}
-		n++
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(rt.method, rt.legacy, nil))
-		if w.Code != http.StatusPermanentRedirect {
-			t.Errorf("%s %s: status %d, want 308", rt.method, rt.legacy, w.Code)
+		if loc := w.Header().Get("Location"); loc != "" {
+			t.Errorf("%s %s: Location %q, want none", rt.method, path, loc)
 		}
-		if loc := w.Header().Get("Location"); loc != rt.path {
-			t.Errorf("%s redirect Location = %q, want %q", rt.legacy, loc, rt.path)
+		if eb := decodeError(t, w); eb.Sentinel != "ErrNotFound" || !strings.Contains(eb.Error, APIVersion+"/") {
+			t.Errorf("%s %s: envelope %+v, want ErrNotFound naming %s/", rt.method, path, eb, APIVersion)
 		}
-	}
-	if n == 0 {
-		t.Fatal("no legacy routes in the registry")
 	}
 }
 
-// TestLegacyRedirectFollowedByClient proves an unupdated client still
-// works end-to-end: net/http follows the 308 preserving the POST body, so
-// a plan request against the old path succeeds against the new route.
+// TestLegacyRedirectFollowedByClient asserts an unupdated client is told
+// plainly that the old path is gone: net/http POSTing to /plan over a real
+// connection is not redirected anywhere and gets the 404 ErrNotFound
+// envelope naming the /v1 prefix.
 func TestLegacyRedirectFollowedByClient(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -53,12 +54,18 @@ func TestLegacyRedirectFollowedByClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy POST /plan through redirect: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /plan: status %d, want 404", resp.StatusCode)
 	}
-	var pr PlanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil || pr.Plan == "" {
-		t.Fatalf("redirected plan response = %+v (err %v)", pr, err)
+	if got := resp.Request.URL.Path; got != "/plan" {
+		t.Errorf("POST /plan ended at %q, want no redirect", got)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if eb.Sentinel != "ErrNotFound" || !strings.Contains(eb.Error, APIVersion+"/") {
+		t.Errorf("POST /plan: envelope %+v, want ErrNotFound naming %s/", eb, APIVersion)
 	}
 }
 

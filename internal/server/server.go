@@ -18,9 +18,8 @@
 //	GET  /v1/admin/epochs epoch log with revalidation progress
 //	GET  /v1/openapi.json the generated OpenAPI document
 //
-// Unversioned legacy paths (/plan, /stats, ...) respond 308 Permanent
-// Redirect to their /v1 equivalents. Every error response uses the JSON
-// envelope {"error","sentinel"}.
+// Unversioned paths (/plan, /stats, ...) answer 404 ErrNotFound. Every
+// error response uses the JSON envelope {"error","sentinel"}.
 //
 // The server dogfoods the public pqo facade: apart from this package's
 // own plumbing it depends only on repro/pqo.
@@ -162,11 +161,12 @@ func (s *Server) Register(name, sql string, eng pqo.Engine, scr *pqo.SCR) error 
 	}
 	e := &entry{name: name, sql: sql, eng: eng, scr: scr}
 	if s.cfg.SnapshotDir != "" {
-		// ReadSnapshotFile verifies the checksum framing, so a node killed
-		// mid-persist rejoins from its last good snapshot: a torn write
-		// fails verification here (logged, ignored) instead of being half-
-		// imported, and the atomic-rename writer below means the previous
-		// good file is still what's at this path.
+		// ReadSnapshotFile verifies the magic and checksum framing, so a
+		// node killed mid-persist rejoins from its last good snapshot: a
+		// torn write or an unframed file fails verification here (logged,
+		// ignored) instead of being half-imported, and the atomic-rename
+		// writer below means the previous good file is still what's at
+		// this path.
 		if data, err := pqo.ReadSnapshotFile(s.snapshotPath(name)); err == nil {
 			if err := scr.Import(data); err != nil {
 				s.logf("snapshot for %s ignored: %v", name, err)

@@ -7,12 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -278,6 +280,51 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if resp.Via == "optimizer" {
 		t.Errorf("restored cache should serve without optimizing, got via=%s", resp.Via)
+	}
+}
+
+// TestRegisterIgnoresUnframedSnapshot: a snapshot file without the
+// PQOSNAP1 framing — here a raw Export JSON — is logged as unreadable and
+// ignored, and the template starts with a cold cache.
+func TestRegisterIgnoresUnframedSnapshot(t *testing.T) {
+	eng, err := pqotest.RandomEngine(rand.New(rand.NewSource(7)), 2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := pqo.New(eng, pqo.WithLambda(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := []float64{0.1, 0.2}
+	if _, err := warm.Process(context.Background(), sv); err != nil {
+		t.Fatal(err)
+	}
+	data, err := warm.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "t1.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	s := New(Config{SnapshotDir: dir, Logger: log.New(&logs, "", 0)})
+	scr, err := pqo.New(eng, pqo.WithLambda(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register("t1", "SELECT synthetic", eng, scr); err != nil {
+		t.Fatalf("Register with an unframed snapshot: %v", err)
+	}
+	if got := logs.String(); !strings.Contains(got, "snapshot for t1 unreadable") || !strings.Contains(got, pqo.ErrSnapshotCorrupt.Error()) {
+		t.Errorf("log = %q, want the unreadable snapshot reported as corrupt", got)
+	}
+	if n := scr.Stats().CurPlans; n != 0 {
+		t.Errorf("cache holds %d plans, want a cold start", n)
+	}
+	if w, resp := postPlan(t, s.Handler(), PlanRequest{Template: "t1", SVector: sv}); w.Code != http.StatusOK || resp.Via != "optimizer" {
+		t.Errorf("first plan: status %d, response %+v, want via=optimizer", w.Code, resp)
 	}
 }
 

@@ -53,8 +53,6 @@ type (
 	Technique = core.Technique
 	// DynamicLambda is Appendix D's per-instance λ configuration.
 	DynamicLambda = core.DynamicLambda
-	// ScanOrder selects the selectivity check's instance-list traversal.
-	ScanOrder = core.ScanOrder
 	// SnapshotSummary describes an exported plan cache.
 	SnapshotSummary = core.SnapshotSummary
 	// SnapshotPlan summarizes one cached plan within a snapshot.
@@ -123,13 +121,6 @@ const (
 	BreakerHalfOpen = core.BreakerHalfOpen
 )
 
-// Scan orders for WithScanOrder.
-const (
-	ScanInsertion = core.ScanInsertion
-	ScanByArea    = core.ScanByArea
-	ScanByUsage   = core.ScanByUsage
-)
-
 // Sentinel errors; match with errors.Is.
 var (
 	ErrNoPlan           = core.ErrNoPlan
@@ -159,9 +150,7 @@ var (
 	WithPlanBudget          = core.WithPlanBudget
 	WithCostCheckLimit      = core.WithCostCheckLimit
 	WithoutCostCheck        = core.WithoutCostCheck
-	WithGLCutoff            = core.WithGLCutoff
 	WithCandidateOrderByL   = core.WithCandidateOrderByL
-	WithScanOrder           = core.WithScanOrder
 	WithViolationDetection  = core.WithViolationDetection
 	WithDegradedFallback    = core.WithDegradedFallback
 	WithOptimizerDeadline   = core.WithOptimizerDeadline
@@ -188,9 +177,8 @@ func WriteSnapshotFile(path string, data []byte) error {
 }
 
 // ReadSnapshotFile reads a snapshot written by WriteSnapshotFile,
-// verifying its checksum; damaged files fail with an error wrapping
-// ErrSnapshotCorrupt. Pre-framing snapshots (raw Export JSON) pass
-// through unverified for backward compatibility.
+// verifying its magic and checksum; unframed or damaged files fail with an
+// error wrapping ErrSnapshotCorrupt.
 func ReadSnapshotFile(path string) ([]byte, error) {
 	return core.ReadSnapshotFile(path)
 }

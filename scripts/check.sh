@@ -83,13 +83,11 @@ case "${1:-}" in
     hi=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
     [ "$hi" -lt 8 ] && hi=8
     # Gates against the base commit (docs/PERF.md): each fails when the
-    # change's median ns/op is above 1.25x the base's. -skip drops the
-    # sub-benchmarks older bases still have, so each regex matches one
-    # benchmark a side.
+    # change's median ns/op is above 1.25x the base's.
     python3 scripts/ab.py go ./internal/core/ '^BenchmarkProcessParallel$' \
-        -cpu 8 -benchtime 2000x -skip 'BenchmarkProcessParallel/(rwmutex|mutex)'
+        -cpu 8 -benchtime 2000x
     python3 scripts/ab.py go ./internal/core/ '^BenchmarkProcessWriteHeavy$' \
-        -cpu "$hi" -benchtime 1000x -skip 'BenchmarkProcessWriteHeavy/unsharded'
+        -cpu "$hi" -benchtime 1000x
     out=$(mktemp)
     trap 'rm -f "$out"' EXIT
     # Scaling smoke: the lock-free read path must still deliver >= 1.25x
