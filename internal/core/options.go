@@ -115,18 +115,9 @@ func WithPlanBudget(k int) Option {
 func WithCostCheckLimit(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
-			return optErr("cost-check limit %d must be >= 1 (use WithoutCostCheck to disable)", n)
+			return optErr("cost-check limit %d must be >= 1", n)
 		}
 		c.CostCheckLimit = n
-		return nil
-	}
-}
-
-// WithoutCostCheck disables the cost check entirely: instances failing the
-// selectivity check go straight to the optimizer.
-func WithoutCostCheck() Option {
-	return func(c *config) error {
-		c.CostCheckLimit = -1
 		return nil
 	}
 }

@@ -31,8 +31,8 @@ type config struct {
 	PlanBudget int
 	// CostCheckLimit bounds the number of Recost calls per getPlan: the
 	// selectivity check collects cost-check candidates in increasing GL
-	// order and rejects the rest (§6.2's pruning heuristic). Negative
-	// disables the cost check entirely.
+	// order and rejects the rest (§6.2's pruning heuristic). New sets 8;
+	// WithCostCheckLimit accepts only values ≥ 1.
 	CostCheckLimit int
 	// OrderCandidatesByL sorts cost-check candidates by increasing L
 	// instead of the paper's increasing G·L. Rationale (an extension over
@@ -757,7 +757,7 @@ func (s *SCR) scan(snap *cacheSnapshot, sv []float64, cur uint64) (scanResult, e
 	// bounded insertion-sorted list instead of collecting and sorting
 	// every entry: on the hot path this is the difference between O(keep)
 	// extra memory and an O(instances) allocation + sort per lookup.
-	keep := max(s.cfg.CostCheckLimit, 0)
+	keep := s.cfg.CostCheckLimit
 	// A limit larger than the instance list (e.g. the "recost all"
 	// ablation's 1<<30) must not become the allocation size.
 	capHint := keep
@@ -806,9 +806,6 @@ func (s *SCR) scan(snap *cacheSnapshot, sv []float64, cur uint64) (scanResult, e
 			if r.lag == nil || g*l < lagGL {
 				r.lag, r.lagAnc, lagGL = e, a, g*l
 			}
-			continue
-		}
-		if keep == 0 {
 			continue
 		}
 		c := cand{e: e, a: a, g: g, l: l, order: g * l}

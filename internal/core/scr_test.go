@@ -296,20 +296,6 @@ func TestCostCheckLimitBoundsRecosts(t *testing.T) {
 	}
 }
 
-func TestCostCheckDisabled(t *testing.T) {
-	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, WithLambda(2), WithoutCostCheck())
-	if _, err := s.Process(context.Background(), []float64{0.5, 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Process(context.Background(), []float64{0.001, 0.001}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.GetPlanRecosts != 0 {
-		t.Errorf("cost check disabled but %d recosts happened", st.GetPlanRecosts)
-	}
-}
-
 func TestDynamicLambdaLoosensCheapInstances(t *testing.T) {
 	// With dynamic λ, a cheap instance (cost << RefCost) gets λ close to
 	// Max; an expensive one (cost >> RefCost) gets λ close to Min.

@@ -34,17 +34,11 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-// scope holds the package path segments the analyzer applies to,
-// configurable for other repos via -costdeterminism.scope.
-var scope = "memo,cost,stats"
-
-func init() {
-	Analyzer.Flags.StringVar(&scope, "scope", scope,
-		"comma-separated package path segments the analyzer applies to")
-}
+// scope holds the package path segments the analyzer applies to.
+var scope = []string{"memo", "cost", "stats"}
 
 func run(pass *analysis.Pass) (any, error) {
-	if !lintutil.PkgInScope(pass.Pkg.Path(), strings.Split(scope, ",")) {
+	if !lintutil.PkgInScope(pass.Pkg.Path(), scope) {
 		return nil, nil
 	}
 	lintutil.ReportAllowMisuse(pass)

@@ -6,14 +6,13 @@
 // harness severs that chain, so request timeouts silently stop applying to
 // everything below the break.
 //
-// Scope: request-path packages only (configurable). Package main and
+// Scope: request-path packages only. Package main and
 // _test.go files are exempt — creating the root context is their job.
 package ctxflow
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/inspect"
@@ -30,18 +29,14 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-var scope = "core,server,harness,cluster"
-
-func init() {
-	Analyzer.Flags.StringVar(&scope, "scope", scope,
-		"comma-separated package path segments the analyzer applies to")
-}
+// scope holds the package path segments of the request-path packages.
+var scope = []string{"core", "server", "harness", "cluster"}
 
 func run(pass *analysis.Pass) (any, error) {
 	if pass.Pkg.Name() == "main" {
 		return nil, nil
 	}
-	if !lintutil.PkgInScope(pass.Pkg.Path(), strings.Split(scope, ",")) {
+	if !lintutil.PkgInScope(pass.Pkg.Path(), scope) {
 		return nil, nil
 	}
 	lintutil.ReportAllowMisuse(pass)

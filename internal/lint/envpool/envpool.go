@@ -6,27 +6,28 @@
 // struct fields, goroutines, channels, composite literals or return values —
 // any of which permits use-after-release, the failure mode sync.Pool turns
 // into silent data corruption (docs/PERF.md).
+//
+// The analyzer runs on the ssalite IR: an acquisition is the Store of a
+// pooled value into its variable's cell, and the pairing check is
+// ssalite.Leak from that store.
 package envpool
 
 import (
-	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/cfg"
 
 	"repro/internal/lint/lintutil"
+	"repro/internal/lint/ssalite"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "envpool",
 	Doc: "check that pooled memo.Env / engine.PreparedInstance values are " +
 		"released on every path and never escape the acquiring function",
-	Requires: []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
+	Requires: []*analysis.Analyzer{ssalite.Analyzer},
 	Run:      run,
 }
 
@@ -55,51 +56,6 @@ func pooledType(t types.Type) bool {
 	return false
 }
 
-// acquisition is one tracked `x[, err] := ...Prepare...(...)` site.
-type acquisition struct {
-	assign *ast.AssignStmt
-	obj    types.Object // the pooled variable
-	errObj types.Object // the paired error variable, if any
-}
-
-func run(pass *analysis.Pass) (any, error) {
-	lintutil.ReportAllowMisuse(pass)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-
-	nodeFilter := []ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}
-	ins.Preorder(nodeFilter, func(n ast.Node) {
-		var body *ast.BlockStmt
-		var g *cfg.CFG
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			body = fn.Body
-			g = cfgs.FuncDecl(fn)
-		case *ast.FuncLit:
-			body = fn.Body
-			g = cfgs.FuncLit(fn)
-		}
-		if body == nil || g == nil {
-			return
-		}
-		checkFunc(pass, body, g)
-	})
-	return nil, nil
-}
-
-// checkFunc runs the pairing and escape checks over one function body.
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, g *cfg.CFG) {
-	acqs := findAcquisitions(pass, body)
-	if len(acqs) == 0 {
-		return
-	}
-	for _, acq := range acqs {
-		checkEscapes(pass, body, acq)
-		checkReleased(pass, body, g, acq, acqs)
-		checkUseAfterRelease(pass, g, acq)
-	}
-}
-
 // acquirers are the pool entry points (and the repo's unexported wrappers
 // around them). Plain constructors such as NewEnv return unpooled values
 // with ordinary GC lifetimes, so only these names start the pairing check.
@@ -108,366 +64,316 @@ var acquirers = map[string]bool{
 	"prepareEnv": true, "prepareRecost": true,
 }
 
-// findAcquisitions collects assignments whose RHS call yields a pooled value,
-// skipping nested function literals (they get their own checkFunc pass).
-func findAcquisitions(pass *analysis.Pass, body *ast.BlockStmt) []acquisition {
+// acquisition is one tracked `x[, err] := ...Prepare...(...)` site: the
+// store of the pooled result into x.
+type acquisition struct {
+	store   *ssalite.Store
+	cell    *ssalite.Cell // the pooled variable
+	errCell *ssalite.Cell // the paired error variable, if any
+}
+
+func run(pass *analysis.Pass) (any, error) {
+	lintutil.ReportAllowMisuse(pass)
+	ssa := pass.ResultOf[ssalite.Analyzer].(*ssalite.SSA)
+	for _, fn := range ssa.Funcs {
+		acqs := findAcquisitions(fn)
+		checked := map[*ssalite.Cell]bool{}
+		for _, acq := range acqs {
+			if !checked[acq.cell] {
+				checked[acq.cell] = true
+				checkEscapes(pass, ssa, fn, acq.cell)
+				checkUseAfterRelease(pass, fn, acq.cell)
+			}
+			checkReleased(pass, ssa, fn, acq, acqs)
+		}
+	}
+	return nil, nil
+}
+
+// findAcquisitions collects the stores of an acquirer's pooled result into
+// a local variable of fn (nested literals are checked as functions of
+// their own).
+func findAcquisitions(fn *ssalite.Function) []acquisition {
 	var out []acquisition
-	inspectShallow(body, func(n ast.Node) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
+	fn.Instrs(func(in ssalite.Instruction) {
+		st, ok := in.(*ssalite.Store)
+		if !ok {
 			return
 		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !acquirers[calleeName(call)] {
+		cell, ok := st.Addr.(*ssalite.Cell)
+		if !ok || cell.Obj == nil || !pooledType(cell.Type()) {
 			return
 		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			obj := pass.TypesInfo.Defs[id]
-			if obj == nil {
-				obj = pass.TypesInfo.Uses[id]
-			}
-			if obj == nil || !pooledType(obj.Type()) {
-				continue
-			}
-			acq := acquisition{assign: as, obj: obj}
-			// Remember the paired error variable of `x, err := ...` so the
-			// release check can exempt the acquisition-failure branch.
-			for j, other := range as.Lhs {
-				if j == i {
-					continue
-				}
-				if oid, ok := other.(*ast.Ident); ok && oid.Name != "_" {
-					if oobj := objOf(pass, oid); oobj != nil && isErrorType(oobj.Type()) {
-						acq.errObj = oobj
-					}
-				}
-			}
-			out = append(out, acq)
+		call := acquirerCall(st.Val)
+		if call == nil {
+			return
 		}
+		acq := acquisition{store: st, cell: cell}
+		// Remember the paired error variable of `x, err := ...` so the
+		// release check can exempt the acquisition-failure branch.
+		for _, other := range st.Block().Instrs {
+			ost, ok := other.(*ssalite.Store)
+			if !ok {
+				continue
+			}
+			ex, ok := ost.Val.(*ssalite.Extract)
+			ec, isCell := ost.Addr.(*ssalite.Cell)
+			if ok && isCell && ex.Tuple == ssalite.Value(call) && isErrorType(ec.Type()) {
+				acq.errCell = ec
+			}
+		}
+		out = append(out, acq)
 	})
 	return out
 }
 
-func objOf(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if o := pass.TypesInfo.Defs[id]; o != nil {
-		return o
+// acquirerCall returns the acquirer call v is the (first) result of, or nil.
+func acquirerCall(v ssalite.Value) *ssalite.Call {
+	if ex, ok := v.(*ssalite.Extract); ok {
+		v = ex.Tuple
 	}
-	return pass.TypesInfo.Uses[id]
+	if c, ok := v.(*ssalite.Call); ok && acquirers[c.CalleeName()] {
+		return c
+	}
+	return nil
 }
 
 func isErrorType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
 	iface, ok := t.Underlying().(*types.Interface)
 	return ok && iface.NumMethods() == 1 && iface.Method(0).Name() == "Error"
 }
 
-// inspectShallow walks body without descending into nested function
-// literals.
-func inspectShallow(body *ast.BlockStmt, f func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			f(n)
-		}
-		return true
-	})
+// isLoadOf reports whether v reads the pooled variable itself.
+func isLoadOf(v ssalite.Value, cell *ssalite.Cell) bool {
+	l, ok := v.(*ssalite.Load)
+	return ok && l.Addr == ssalite.Value(cell)
 }
 
-// usesObj reports whether n mentions acq's pooled variable.
-func usesObj(pass *analysis.Pass, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if id, ok := c.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// isReleaseOf reports whether n (or a call within it) releases obj:
-// obj.Release() or <any>.ReleaseEnv(obj) / ReleaseEnv(obj).
-func isReleaseOf(pass *analysis.Pass, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		call, ok := c.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		name := calleeName(call)
-		switch name {
-		case "Release":
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-					found = true
-				}
-			}
-		case "ReleaseEnv":
-			for _, arg := range call.Args {
-				if id, ok := arg.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-func calleeName(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
+// refersTo reports whether v mentions cell anywhere in its operand tree.
+func refersTo(v ssalite.Value, cell *ssalite.Cell) bool {
+	if v == nil {
+		return false
 	}
-	return ""
+	if v == ssalite.Value(cell) {
+		return true
+	}
+	for _, op := range v.Operands() {
+		if refersTo(op, cell) {
+			return true
+		}
+	}
+	return false
+}
+
+// uses reports whether instruction in mentions cell in any operand.
+func uses(in ssalite.Instruction, cell *ssalite.Cell) bool {
+	for _, op := range in.Operands() {
+		if refersTo(op, cell) {
+			return true
+		}
+	}
+	return false
+}
+
+// isReleaseOf reports whether in releases the pooled variable:
+// x.Release() or <any>.ReleaseEnv(x) / ReleaseEnv(x).
+func isReleaseOf(in ssalite.Instruction, cell *ssalite.Cell) bool {
+	c, ok := in.(*ssalite.Call)
+	if !ok {
+		return false
+	}
+	switch c.CalleeName() {
+	case "Release":
+		return isLoadOf(c.Recv, cell)
+	case "ReleaseEnv":
+		for _, a := range c.Args {
+			if isLoadOf(a, cell) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// within reports whether fn is outer or a literal nested inside it.
+func within(fn, outer *ssalite.Function) bool {
+	for ; fn != nil; fn = fn.Parent {
+		if fn == outer {
+			return true
+		}
+	}
+	return false
+}
+
+// anyInstr reports whether some instruction of outer, or of a literal
+// nested in it, satisfies match.
+func anyInstr(ssa *ssalite.SSA, outer *ssalite.Function, match func(ssalite.Instruction) bool) bool {
+	found := false
+	for _, f := range ssa.Funcs {
+		if found || !within(f, outer) {
+			continue
+		}
+		f.Instrs(func(in ssalite.Instruction) {
+			found = found || match(in)
+		})
+	}
+	return found
 }
 
 // checkReleased verifies that every path from the acquisition to function
 // exit passes a release of the pooled value. A deferred release anywhere in
-// the function satisfies the check (the repo idiom defers immediately after
-// acquiring); the error branch of the acquisition's own `if err != nil`
-// check is exempt because a failed Prepare returns no pooled value.
-func checkReleased(pass *analysis.Pass, body *ast.BlockStmt, g *cfg.CFG, acq acquisition, all []acquisition) {
-	obj := acq.obj
-	// Deferred release (directly or inside a deferred closure)?
-	deferred := false
-	inspectDefers(body, func(d *ast.DeferStmt) {
-		if isReleaseOf(pass, d.Call, obj) {
-			deferred = true
+// the function — directly or inside a deferred closure — satisfies the
+// check (the repo idiom defers immediately after acquiring); the error
+// branch of the acquisition's own `if err != nil` check is exempt because
+// a failed Prepare returns no pooled value, and a re-acquisition into the
+// same variable ends a path (a loop that re-prepares each iteration is
+// checked from each acquisition).
+func checkReleased(pass *analysis.Pass, ssa *ssalite.SSA, fn *ssalite.Function, acq acquisition, all []acquisition) {
+	cell := acq.cell
+	if anyInstr(ssa, fn, func(in ssalite.Instruction) bool {
+		c, ok := in.(*ssalite.Call)
+		if !ok || !c.IsDefer {
+			return false
 		}
-	})
-	if !deferred {
-		// Deferred closures: defer func() { ... Release ... }().
-		ast.Inspect(body, func(n ast.Node) bool {
-			if d, ok := n.(*ast.DeferStmt); ok && isReleaseOf(pass, d.Call, obj) {
-				deferred = true
-			}
-			if lit, ok := n.(*ast.FuncLit); ok {
-				if parentIsDefer(body, lit) && isReleaseOf(pass, lit.Body, obj) {
-					deferred = true
-				}
-			}
-			return !deferred
-		})
-	}
-	if deferred {
+		if mc, ok := c.Fun.(*ssalite.MakeClosure); ok {
+			return anyInstr(ssa, mc.Fn, func(in ssalite.Instruction) bool { return isReleaseOf(in, cell) })
+		}
+		return isReleaseOf(c, cell)
+	}) {
 		return
 	}
 
-	blk, idx, ok := lintutil.FindNode(g, acq.assign)
-	if !ok {
-		return
-	}
-	stop := func(n ast.Node) bool {
-		if _, isDefer := n.(*ast.DeferStmt); isDefer {
+	pred := func(in ssalite.Instruction) bool {
+		if c, ok := in.(*ssalite.Call); ok && c.IsDefer {
 			return false // non-matching defer; matching ones handled above
 		}
-		return isReleaseOf(pass, n, obj)
-	}
-	// Re-acquisition into the same variable bounds the walk: a loop body
-	// that re-prepares each iteration is checked from each acquisition.
-	boundary := func(n ast.Node) bool {
+		if isReleaseOf(in, cell) {
+			return true
+		}
 		for _, other := range all {
-			if other.assign == n && other.obj == obj && other.assign != acq.assign {
+			if in == ssalite.Instruction(other.store) && other.cell == cell {
 				return true
 			}
 		}
-		return n == acq.assign
+		return in.Block() != acq.store.Block() && failureBranch(in.Block(), acq.errCell)
 	}
-	skip := errBranchSkipper(pass, acq)
-	if pos, leak := lintutil.LeaksToExit(blk, idx+1, stop, skip, boundary); leak {
-		at := acq.assign.Pos()
-		detail := ""
-		if pos.IsValid() {
-			p := pass.Fset.Position(pos)
-			detail = " (path escaping near line " + itoa(p.Line) + ")"
-		}
-		lintutil.Report(pass, at, "pooled %s acquired here may not be released on every path%s; release it or defer the release", obj.Name(), detail)
+	exit, leaks := ssalite.Leak(fn, acq.store, pred)
+	if !leaks {
+		return
 	}
+	// The exit's last instruction is its return (cfg makes falling off
+	// the end an explicit return at the closing brace) or its call.
+	detail := ""
+	if exit != nil && len(exit.Instrs) > 0 {
+		pos := exit.Instrs[len(exit.Instrs)-1].Pos()
+		detail = " (path escaping near line " + strconv.Itoa(pass.Fset.Position(pos).Line) + ")"
+	}
+	lintutil.Report(pass, acq.store.Pos(), "pooled %s acquired here may not be released on every path%s; release it or defer the release", cell.Obj.Name(), detail)
 }
 
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	n := len(b)
-	for i > 0 {
-		n--
-		b[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[n:])
-}
-
-func inspectDefers(body *ast.BlockStmt, f func(*ast.DeferStmt)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			f(d)
-		}
-		return true
-	})
-}
-
-func parentIsDefer(body *ast.BlockStmt, lit *ast.FuncLit) bool {
-	is := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			if fl, ok := d.Call.Fun.(*ast.FuncLit); ok && fl == lit {
-				is = true
-			}
-		}
-		return !is
-	})
-	return is
-}
-
-// errBranchSkipper exempts the `if err != nil` failure branch of the
-// acquisition itself: on that path Prepare returned no pooled value.
-func errBranchSkipper(pass *analysis.Pass, acq acquisition) func(from, to *cfg.Block) bool {
-	if acq.errObj == nil {
-		return nil
-	}
-	return func(from, to *cfg.Block) bool {
-		ifStmt, ok := to.Stmt.(*ast.IfStmt)
-		if !ok {
-			return false
-		}
-		bin, ok := ifStmt.Cond.(*ast.BinaryExpr)
-		if !ok {
-			return false
-		}
-		var errSide ast.Expr
-		if isNil(pass, bin.Y) {
-			errSide = bin.X
-		} else if isNil(pass, bin.X) {
-			errSide = bin.Y
-		} else {
-			return false
-		}
-		id, ok := errSide.(*ast.Ident)
-		if !ok || pass.TypesInfo.Uses[id] != acq.errObj {
-			return false
-		}
-		switch {
-		case bin.Op == token.NEQ && to.Kind == cfg.KindIfThen:
-			return true // if err != nil { <failure> }
-		case bin.Op == token.EQL && to.Kind == cfg.KindIfElse:
-			return true // if err == nil { ok } else { <failure> }
-		}
+// failureBranch reports whether b is the failure arm of a check of the
+// acquisition's error variable: the then arm of `if err != nil` or the
+// else arm of `if err == nil`. On that path Prepare returned no pooled
+// value. (An error compares only against nil, so a constant operand is
+// the nil.)
+func failureBranch(b *ssalite.Block, errCell *ssalite.Cell) bool {
+	bin, ok := b.Cond.(*ssalite.BinOp)
+	if errCell == nil || !ok {
 		return false
 	}
-}
-
-func isNil(pass *analysis.Pass, e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	if !ok {
+	errSide := bin.X
+	if _, isConst := bin.X.(*ssalite.Const); isConst {
+		errSide = bin.Y
+	} else if _, isConst := bin.Y.(*ssalite.Const); !isConst {
 		return false
 	}
-	_, isNilObj := pass.TypesInfo.Uses[id].(*types.Nil)
-	return isNilObj
+	if !isLoadOf(errSide, errCell) {
+		return false
+	}
+	return bin.Op == token.NEQ && b.CondTrue || bin.Op == token.EQL && !b.CondTrue
 }
 
 // checkEscapes flags stores of the pooled value into places that outlive the
 // acquiring call: struct fields / slice or map elements, channel sends,
 // composite literals, return values, and goroutine captures.
-func checkEscapes(pass *analysis.Pass, body *ast.BlockStmt, acq acquisition) {
-	obj := acq.obj
-	inspectShallow(body, func(n ast.Node) {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range s.Rhs {
-				id, ok := rhs.(*ast.Ident)
-				if !ok || pass.TypesInfo.Uses[id] != obj {
-					continue
-				}
-				if i >= len(s.Lhs) {
-					continue
-				}
-				switch s.Lhs[i].(type) {
-				case *ast.SelectorExpr:
-					lintutil.Report(pass, s.Pos(), "pooled %s escapes into a struct field; it may be reused after release", obj.Name())
-				case *ast.IndexExpr:
-					lintutil.Report(pass, s.Pos(), "pooled %s escapes into a slice or map element; it may be reused after release", obj.Name())
+func checkEscapes(pass *analysis.Pass, ssa *ssalite.SSA, fn *ssalite.Function, cell *ssalite.Cell) {
+	name := cell.Obj.Name()
+	fn.Instrs(func(in ssalite.Instruction) {
+		switch in := in.(type) {
+		case *ssalite.Store:
+			if !isLoadOf(in.Val, cell) {
+				return
+			}
+			switch in.Addr.(type) {
+			case *ssalite.FieldAddr:
+				lintutil.Report(pass, in.Pos(), "pooled %s escapes into a struct field; it may be reused after release", name)
+			case *ssalite.IndexAddr:
+				lintutil.Report(pass, in.Pos(), "pooled %s escapes into a slice or map element; it may be reused after release", name)
+			}
+		case *ssalite.MapUpdate:
+			if isLoadOf(in.Val, cell) {
+				lintutil.Report(pass, in.Pos(), "pooled %s escapes into a slice or map element; it may be reused after release", name)
+			}
+		case *ssalite.Send:
+			if isLoadOf(in.Val, cell) {
+				lintutil.Report(pass, in.Pos(), "pooled %s escapes through a channel send", name)
+			}
+		case *ssalite.Return:
+			for _, r := range in.Results {
+				if isLoadOf(r, cell) {
+					lintutil.Report(pass, in.Pos(), "pooled %s escapes via return; the caller cannot know it must release it", name)
 				}
 			}
-		case *ast.SendStmt:
-			if id, ok := s.Value.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-				lintutil.Report(pass, s.Pos(), "pooled %s escapes through a channel send", obj.Name())
-			}
-		case *ast.ReturnStmt:
-			for _, res := range s.Results {
-				if id, ok := res.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-					lintutil.Report(pass, s.Pos(), "pooled %s escapes via return; the caller cannot know it must release it", obj.Name())
+		case *ssalite.AllocLit:
+			for _, e := range in.Elts {
+				if isLoadOf(e, cell) {
+					lintutil.Report(pass, in.Pos(), "pooled %s escapes into a composite literal", name)
 				}
 			}
-		case *ast.CompositeLit:
-			for _, el := range s.Elts {
-				e := el
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					e = kv.Value
-				}
-				if id, ok := e.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-					lintutil.Report(pass, s.Pos(), "pooled %s escapes into a composite literal", obj.Name())
-				}
+		case *ssalite.Call:
+			if !in.IsGo {
+				return
 			}
-		case *ast.GoStmt:
-			// A closure callee is handled by the dedicated pass below; here
-			// only the arguments (and a non-literal callee) count.
-			target := ast.Node(s.Call)
-			if _, isLit := s.Call.Fun.(*ast.FuncLit); isLit {
-				found := false
-				for _, arg := range s.Call.Args {
-					if usesObj(pass, arg, obj) {
-						found = true
-					}
-				}
-				if !found {
-					target = nil
-				}
+			// A closure callee captures through its body; any other
+			// callee, and every argument, captures through the operands.
+			mc, isLit := in.Fun.(*ssalite.MakeClosure)
+			captured := false
+			for _, a := range in.Args {
+				captured = captured || refersTo(a, cell)
 			}
-			if target != nil && usesObj(pass, target, obj) {
-				lintutil.Report(pass, s.Pos(), "pooled %s captured by a goroutine; it may be released while the goroutine runs", obj.Name())
+			if !isLit {
+				captured = uses(in, cell)
+			}
+			if captured {
+				lintutil.Report(pass, in.Pos(), "pooled %s captured by a goroutine; it may be released while the goroutine runs", name)
+			}
+			if isLit && anyInstr(ssa, mc.Fn, func(in ssalite.Instruction) bool { return uses(in, cell) }) {
+				lintutil.Report(pass, in.Pos(), "pooled %s captured by a goroutine closure; it may be released while the goroutine runs", name)
 			}
 		}
-	})
-	// Goroutine closures: go func() { ... obj ... }().
-	ast.Inspect(body, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		if lit, ok := g.Call.Fun.(*ast.FuncLit); ok && usesObj(pass, lit.Body, obj) {
-			lintutil.Report(pass, g.Pos(), "pooled %s captured by a goroutine closure; it may be released while the goroutine runs", obj.Name())
-		}
-		return true
 	})
 }
 
-// checkUseAfterRelease flags statements that read the pooled value after a
-// non-deferred release in the same basic block (the straight-line case; see
-// docs/LINT.md for what this deliberately does not catch).
-func checkUseAfterRelease(pass *analysis.Pass, g *cfg.CFG, acq acquisition) {
-	obj := acq.obj
-	for _, blk := range g.Blocks {
-		released := -1
-		for i, nd := range blk.Nodes {
-			if _, isDefer := nd.(*ast.DeferStmt); isDefer {
+// checkUseAfterRelease flags the first instruction that reads the pooled
+// value after a non-deferred release in the same basic block (the
+// straight-line case; see docs/LINT.md for what this deliberately does not
+// catch). Overwriting the variable is not a use.
+func checkUseAfterRelease(pass *analysis.Pass, fn *ssalite.Function, cell *ssalite.Cell) {
+	for _, b := range fn.Blocks {
+		released := false
+		for _, in := range b.Instrs {
+			if st, ok := in.(*ssalite.Store); ok && st.Addr == ssalite.Value(cell) && !refersTo(st.Val, cell) {
 				continue
 			}
-			if released >= 0 && nd != acq.assign && usesObj(pass, nd, obj) {
-				lintutil.Report(pass, nd.Pos(), "pooled %s used after release", obj.Name())
+			if released && uses(in, cell) {
+				lintutil.Report(pass, in.Pos(), "pooled %s used after release", cell.Obj.Name())
 				break
 			}
-			if isReleaseOf(pass, nd, obj) {
-				released = i
+			if c, ok := in.(*ssalite.Call); ok && !c.IsDefer && isReleaseOf(c, cell) {
+				released = true
 			}
 		}
 	}

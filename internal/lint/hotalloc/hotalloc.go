@@ -4,9 +4,9 @@
 // regresses under concurrency.
 //
 // Over the ssalite IR, the analyzer walks the static same-package call
-// graph from the configured roots (Process, getPlan, minCostPlan and the
-// re-costing entry points by default) and flags, in every reachable
-// function:
+// graph (SSA.Reachable) from the roots Process, getPlan, minCostPlan and
+// the re-costing entry points Recost and RecostPlanWith, and flags, in
+// every reachable function:
 //
 //   - make of slices, maps and channels;
 //   - append calls whose backing slice does not provably come from a
@@ -18,7 +18,7 @@
 //   - interface boxing of non-pointer concrete values (the boxed copy
 //     allocates; pointers ride in the interface word for free);
 //   - heap composite literals and new(T), except for the budgeted result
-//     types (-hotalloc.budget, default Decision).
+//     type Decision.
 //
 // Cold helpers that the walk would otherwise drag in (publishers, snapshot
 // rebuilds) carry a decl-level //lint:allow hotalloc <reason>, which prunes
@@ -29,10 +29,8 @@
 package hotalloc
 
 import (
-	"flag"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 
@@ -43,7 +41,6 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:     "hotalloc",
 	Doc:      "flag allocation sites reachable from the serving hot path that break the per-call allocation budget",
-	Flags:    flags(),
 	Requires: []*analysis.Analyzer{ssalite.Analyzer},
 	Run:      run,
 }
@@ -51,29 +48,14 @@ var Analyzer = &analysis.Analyzer{
 // scope lists the package path segments the check applies to.
 var scope = []string{"core", "engine", "memo", "hot", "hotseed"}
 
-var (
-	rootsFlag  = "Process,getPlan,minCostPlan,Recost,RecostPlanWith"
-	budgetFlag = "Decision"
-)
-
-func flags() flag.FlagSet {
-	fs := flag.NewFlagSet("hotalloc", flag.ExitOnError)
-	fs.StringVar(&rootsFlag, "roots", rootsFlag,
-		"comma-separated function/method names rooting the hot-path call graph")
-	fs.StringVar(&budgetFlag, "budget", budgetFlag,
-		"comma-separated type names whose heap allocation is budgeted (exempt)")
-	return *fs
+// roots name the functions and methods rooting the hot-path call graph.
+var roots = map[string]bool{
+	"Process": true, "getPlan": true, "minCostPlan": true,
+	"Recost": true, "RecostPlanWith": true,
 }
 
-func splitList(s string) map[string]bool {
-	out := map[string]bool{}
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out[f] = true
-		}
-	}
-	return out
-}
+// budgeted names the types whose heap allocation is the per-call budget.
+var budgeted = map[string]bool{"Decision": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	if !lintutil.PkgInScope(pass.Pkg.Path(), scope) {
@@ -81,68 +63,21 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	lintutil.ReportAllowMisuse(pass)
 	ssa := pass.ResultOf[ssalite.Analyzer].(*ssalite.SSA)
-	roots := splitList(rootsFlag)
-	budget := splitList(budgetFlag)
 
-	// Name → declared functions (methods of different types may share a
-	// name; the walk follows all of them, conservatively).
-	byName := map[string][]*ssalite.Function{}
-	for _, fn := range ssa.Funcs {
-		if fn.Decl != nil {
-			byName[fn.Name] = append(byName[fn.Name], fn)
-		}
-	}
-
-	// pruned: a decl-level allow excuses the function and, through it,
-	// everything only reachable via its body.
-	pruned := func(fn *ssalite.Function) bool {
-		return fn.Decl != nil && lintutil.Allowed(pass, fn.Decl.Pos(), "hotalloc")
-	}
-
-	// BFS over the static call graph; rootOf records attribution.
-	rootOf := map[*ssalite.Function]string{}
-	var queue []*ssalite.Function
-	for _, fn := range ssa.Funcs {
-		if fn.Decl == nil || !roots[fn.Name] || fn.Incomplete {
-			continue
-		}
-		if lintutil.InTestFile(pass, fn.Decl.Pos()) || pruned(fn) {
-			continue
-		}
-		rootOf[fn] = fn.Name
-		queue = append(queue, fn)
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		fn.Instrs(func(in ssalite.Instruction) {
-			c, ok := in.(*ssalite.Call)
-			if !ok {
-				return
-			}
-			for _, callee := range byName[c.CalleeName()] {
-				if callee == fn || callee.Incomplete {
-					continue
-				}
-				if _, seen := rootOf[callee]; seen || pruned(callee) {
-					continue
-				}
-				if lintutil.InTestFile(pass, callee.Decl.Pos()) {
-					continue
-				}
-				rootOf[callee] = rootOf[fn]
-				queue = append(queue, callee)
-			}
-		})
-	}
-
-	for fn, root := range rootOf {
-		checkFunc(pass, fn, root, budget)
+	// The walk follows calls, not closure bodies, and stops at functions
+	// whose decl-level allow excuses them (and, through them, everything
+	// only reachable via their body).
+	hot := ssa.Reachable(roots, func(site ssalite.Instruction, fn *ssalite.Function) bool {
+		_, isClosure := site.(*ssalite.MakeClosure)
+		return !isClosure && !lintutil.Allowed(pass, fn.Decl.Pos(), "hotalloc")
+	})
+	for fn, root := range hot {
+		checkFunc(pass, fn, root.Name)
 	}
 	return nil, nil
 }
 
-func checkFunc(pass *analysis.Pass, fn *ssalite.Function, root string, budget map[string]bool) {
+func checkFunc(pass *analysis.Pass, fn *ssalite.Function, root string) {
 	prealloc := preallocatedCells(fn)
 	escaping := escapingClosures(fn)
 	report := func(pos token.Pos, what string) {
@@ -207,7 +142,7 @@ func checkFunc(pass *analysis.Pass, fn *ssalite.Function, root string, budget ma
 			}
 		case *ssalite.AllocLit:
 			if in.Heap {
-				if name := typeName(in.Type()); !budget[name] {
+				if name := typeName(in.Type()); !budgeted[name] {
 					what := "heap allocation"
 					if name != "" {
 						what += " of " + name

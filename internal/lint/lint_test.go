@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -25,6 +26,10 @@ func TestAnalyzersValid(t *testing.T) {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
 		seen[a.Name] = true
+		// Roots, budgets and scopes are fixed tables, not knobs.
+		a.Flags.VisitAll(func(f *flag.Flag) {
+			t.Errorf("analyzer %s declares flag -%s", a.Name, f.Name)
+		})
 	}
 }
 

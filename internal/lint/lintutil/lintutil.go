@@ -1,18 +1,15 @@
 // Package lintutil is the shared plumbing of the pqolint analyzers: the
-// `//lint:allow <analyzer> <reason>` suppression convention, package-scope
-// gating, and the CFG path searches used by the resource-pairing and
-// post-domination checks (see docs/LINT.md).
+// `//lint:allow <analyzer> <reason>` suppression convention and
+// package-scope gating (see docs/LINT.md). Control flow lives in ssalite.
 package lintutil
 
 import (
-	"go/ast"
 	"go/token"
 	"os"
 	"strings"
 	"sync"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/cfg"
 )
 
 // allowPrefix introduces a suppression comment:
@@ -186,71 +183,4 @@ func PkgInScope(path string, segments []string) bool {
 		}
 	}
 	return false
-}
-
-// FindNode locates the CFG block and node index of node n, which must be a
-// statement-level node (pointer identity). ok is false when the node is not
-// in the graph (e.g. dead code).
-func FindNode(g *cfg.CFG, n ast.Node) (b *cfg.Block, idx int, ok bool) {
-	for _, blk := range g.Blocks {
-		for i, nd := range blk.Nodes {
-			if nd == n {
-				return blk, i, true
-			}
-		}
-	}
-	return nil, 0, false
-}
-
-// LeaksToExit searches for a path from just after (start, idx) to a function
-// exit that never passes a node satisfied by stop. skipEdge, when non-nil,
-// prunes edges that must not be followed (e.g. the error branch of the
-// acquisition's own err check). boundary, when non-nil, marks nodes that end
-// the search on a path without deciding it (e.g. re-acquisition on a loop
-// back edge). It returns the position of the escaping exit.
-func LeaksToExit(start *cfg.Block, idx int, stop func(ast.Node) bool, skipEdge func(from, to *cfg.Block) bool, boundary func(ast.Node) bool) (token.Pos, bool) {
-	type item struct {
-		b   *cfg.Block
-		idx int
-	}
-	seen := map[*cfg.Block]bool{}
-	var walk func(it item) (token.Pos, bool)
-	walk = func(it item) (token.Pos, bool) {
-		for i := it.idx; i < len(it.b.Nodes); i++ {
-			nd := it.b.Nodes[i]
-			if stop(nd) {
-				return token.NoPos, false
-			}
-			if boundary != nil && boundary(nd) {
-				return token.NoPos, false
-			}
-		}
-		if len(it.b.Succs) == 0 {
-			if !it.b.Live {
-				return token.NoPos, false
-			}
-			// Exit reached without a satisfying node.
-			pos := token.NoPos
-			if n := len(it.b.Nodes); n > 0 {
-				pos = it.b.Nodes[n-1].Pos()
-			} else if it.b.Stmt != nil {
-				pos = it.b.Stmt.End()
-			}
-			return pos, true
-		}
-		for _, succ := range it.b.Succs {
-			if seen[succ] {
-				continue
-			}
-			if skipEdge != nil && skipEdge(it.b, succ) {
-				continue
-			}
-			seen[succ] = true
-			if pos, leak := walk(item{b: succ, idx: 0}); leak {
-				return pos, true
-			}
-		}
-		return token.NoPos, false
-	}
-	return walk(item{b: start, idx: idx})
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockDiscipline(t *testing.T) {
-	linttest.Run(t, lockdiscipline.Analyzer, "a", "breaker", "hotpath", "revalpath", "coordpath")
+	linttest.Run(t, lockdiscipline.Analyzer, "a", "breaker", "hotpath", "revalpath", "coordpath", "samename")
 }

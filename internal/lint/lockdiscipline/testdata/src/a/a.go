@@ -113,3 +113,13 @@ func allowedManual(s *SCR, cond bool) int {
 	s.mu.Unlock()
 	return 0
 }
+
+// badBlockingInBranch takes the write lock outside the entry block: the
+// dataflow must still reach the blocks after a lock-free entry.
+func badBlockingInBranch(s *SCR, cond bool) {
+	if cond {
+		s.mu.Lock()
+		s.eng.Optimize(nil) // want `Optimize called while the write lock is held`
+		s.mu.Unlock()
+	}
+}

@@ -74,6 +74,13 @@ func (b *builder) buildFunc(fn *Function, cfgs *ctrlflow.CFGs) {
 			fb.node(n)
 		}
 	}
+	// Record branch conditions once every block is translated: cfg lists
+	// the condition in the block that branches, not in the arms.
+	for _, cb := range g.Blocks {
+		if is, ok := cb.Stmt.(*ast.IfStmt); ok && (cb.Kind == cfg.KindIfThen || cb.Kind == cfg.KindIfElse) {
+			mirror[cb].Cond, mirror[cb].CondTrue = fb.cache[is.Cond], cb.Kind == cfg.KindIfThen
+		}
+	}
 }
 
 // rangeRole marks an expression that is the key or value variable of a

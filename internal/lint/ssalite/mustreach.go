@@ -1,8 +1,9 @@
 package ssalite
 
-// This file implements the must-reach (post-domination) query the
-// rcupublish analyzer is built on: "does every path from this instruction
-// to a returning exit pass an instruction satisfying pred?".
+// This file implements the must-reach (post-domination) queries the
+// rcupublish and envpool analyzers are built on: "does every path from
+// this instruction to a returning exit pass an instruction satisfying
+// pred?", and, when not, "which exit does a violating path reach?".
 
 // MustReach reports whether every live path from just after instruction
 // `from` to a *returning* exit of fn passes an instruction satisfying pred.
@@ -18,31 +19,60 @@ package ssalite
 // Cycles are handled by a greatest fixpoint, so an infinite loop (no path
 // to exit) also vacuously satisfies the query.
 func MustReach(fn *Function, from Instruction, pred func(Instruction) bool) bool {
-	if fn == nil || fn.Incomplete || len(fn.Blocks) == 0 {
-		return false
+	_, leaks := Leak(fn, from, pred)
+	return !leaks
+}
+
+// Leak is MustReach with a witness: it reports whether some live path
+// from just after `from` reaches a returning exit without passing an
+// instruction satisfying pred and, if so, the first such exit block in
+// successor order. The block is nil when fn cannot be analyzed
+// (Incomplete or bodiless), which counts as a leak.
+func Leak(fn *Function, from Instruction, pred func(Instruction) bool) (*Block, bool) {
+	if fn == nil || fn.Incomplete || len(fn.Blocks) == 0 || from.Block() == nil {
+		return nil, true
 	}
 	if entryDeferSatisfies(fn, pred) {
-		return true
+		return nil, false
 	}
 	b := from.Block()
-	if b == nil {
-		return false
-	}
 	for i := from.index() + 1; i < len(b.Instrs); i++ {
 		if pred(b.Instrs[i]) {
-			return true
+			return nil, false
 		}
+	}
+	if len(b.Succs) == 0 {
+		if nonReturningExit(b) {
+			return nil, false
+		}
+		return b, true
 	}
 	ok := mustReachSets(fn, pred)
-	if len(b.Succs) == 0 {
-		return nonReturningExit(b)
+	// Every failing block has a failing successor or is a returning exit,
+	// so a walk over failing blocks finds an exit.
+	seen := map[*Block]bool{}
+	var walk func(b *Block) *Block
+	walk = func(b *Block) *Block {
+		if ok[b] || seen[b] {
+			return nil
+		}
+		seen[b] = true
+		if len(b.Succs) == 0 {
+			return b
+		}
+		for _, s := range b.Succs {
+			if exit := walk(s); exit != nil {
+				return exit
+			}
+		}
+		return nil
 	}
 	for _, s := range b.Succs {
-		if !ok[s] {
-			return false
+		if exit := walk(s); exit != nil {
+			return exit, true
 		}
 	}
-	return true
+	return nil, false
 }
 
 // MustReachFromEntry reports whether every live path from function entry

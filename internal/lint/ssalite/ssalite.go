@@ -1,7 +1,9 @@
 // Package ssalite builds a static-single-assignment-flavoured IR for the
-// pqolint analyzers (rcupublish, epochflow, hotalloc) on top of the
-// syntactic control-flow graphs produced by the vendored
-// golang.org/x/tools/go/cfg package.
+// pqolint analyzers (envpool, lockdiscipline, rcupublish, epochflow,
+// hotalloc) on top of the syntactic control-flow graphs produced by the
+// vendored golang.org/x/tools/go/cfg package. It is the only package of
+// the suite that touches those graphs: clients see blocks, instructions,
+// the MustReach/Leak path queries and the Reachable call graph.
 //
 // Why not golang.org/x/tools/go/ssa + passes/buildssa? Those packages are
 // not part of the x/tools subset the Go distribution vendors, and this
@@ -37,6 +39,7 @@ import (
 	"go/token"
 	"go/types"
 	"reflect"
+	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/ctrlflow"
@@ -49,7 +52,7 @@ import (
 // by the invariant analyzers through Requires.
 var Analyzer = &analysis.Analyzer{
 	Name:       "ssalite",
-	Doc:        "build the ssalite IR consumed by the rcupublish, epochflow and hotalloc analyzers",
+	Doc:        "build the ssalite IR consumed by the pqolint analyzers",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
 	ResultType: reflect.TypeOf((*SSA)(nil)),
 	Run:        run,
@@ -86,7 +89,8 @@ type Function struct {
 	// analyzers should treat it conservatively (skip, do not trust).
 	Incomplete bool
 
-	cells map[types.Object]*Cell
+	cells  map[types.Object]*Cell
+	inTest bool // declared in a _test.go file
 }
 
 // Cells returns the storage cells of the function's named locals,
@@ -128,6 +132,11 @@ type Block struct {
 	Succs  []*Block
 	// Live is false for blocks unreachable from the entry.
 	Live bool
+	// Cond is the condition of the if statement whose then arm
+	// (CondTrue) or else arm (!CondTrue) this block begins; nil for every
+	// other block.
+	Cond     Value
+	CondTrue bool
 }
 
 // Value is an abstract operand: a constant, a storage cell, or the result
@@ -568,7 +577,8 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		switch n := n.(type) {
 		case *ast.FuncDecl:
-			fn := &Function{Name: n.Name.Name, Decl: n, cells: map[types.Object]*Cell{}}
+			fn := &Function{Name: n.Name.Name, Decl: n, cells: map[types.Object]*Cell{},
+				inTest: strings.HasSuffix(pass.Fset.File(n.Pos()).Name(), "_test.go")}
 			if obj, ok := pass.TypesInfo.Defs[n.Name].(*types.Func); ok {
 				fn.Obj = obj
 				ssa.DeclFunc[obj] = fn

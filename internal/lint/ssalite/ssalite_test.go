@@ -18,10 +18,21 @@ import (
 // inspect → ctrlflow → ssalite analyzer chain over it.
 func build(t *testing.T, src string) *ssalite.SSA {
 	t.Helper()
+	return buildFiles(t, "p.go", src)
+}
+
+// buildFiles is build over several files of one package, given as
+// alternating file names and sources.
+func buildFiles(t *testing.T, namesAndSrcs ...string) *ssalite.SSA {
+	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
+	var files []*ast.File
+	for i := 0; i+1 < len(namesAndSrcs); i += 2 {
+		f, err := parser.ParseFile(fset, namesAndSrcs[i], namesAndSrcs[i+1], parser.ParseComments)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		files = append(files, f)
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -32,7 +43,7 @@ func build(t *testing.T, src string) *ssalite.SSA {
 		Scopes:     map[ast.Node]*types.Scope{},
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
-	pkg, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info)
+	pkg, err := (&types.Config{}).Check("p", fset, files, info)
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
@@ -45,7 +56,7 @@ func build(t *testing.T, src string) *ssalite.SSA {
 		pass := &analysis.Pass{
 			Analyzer:          a,
 			Fset:              fset,
-			Files:             []*ast.File{f},
+			Files:             files,
 			Pkg:               pkg,
 			TypesInfo:         info,
 			TypesSizes:        types.SizesFor("gc", "amd64"),
@@ -252,6 +263,19 @@ func TestMustReach(t *testing.T) {
 		}
 	}
 
+	// Leak names the exit a violating path reaches: Leaky's early return.
+	leaky := fn(t, ssa, "Leaky")
+	exit, leaks := ssalite.Leak(leaky, firstStore(t, leaky), isPublish)
+	if !leaks || exit == nil {
+		t.Fatalf("Leak(Leaky) = %v, %v; want an exit block", exit, leaks)
+	}
+	if _, ok := exit.Instrs[len(exit.Instrs)-1].(*ssalite.Return); !ok || exit.Cond == nil || !exit.CondTrue {
+		t.Errorf("Leak(Leaky) exit = %v (cond %v, %v), want the then arm of if v > 0 ending in return", exit.Instrs, exit.Cond, exit.CondTrue)
+	}
+	if _, leaks := ssalite.Leak(fn(t, ssa, "Good"), firstStore(t, fn(t, ssa, "Good")), isPublish); leaks {
+		t.Error("Leak(Good) reports a leak")
+	}
+
 	// MustReachFromEntry: Deferred publishes unconditionally, Leaky does not.
 	if !ssalite.MustReachFromEntry(fn(t, ssa, "Deferred"), isPublish) {
 		t.Error("MustReachFromEntry(Deferred) = false, want true")
@@ -369,5 +393,63 @@ func TestTupleExtract(t *testing.T) {
 	}
 	if got := callsTo(f, "two"); got != 1 {
 		t.Errorf("calls to two = %d, want 1", got)
+	}
+}
+
+const srcReach = `package p
+
+type A struct{}
+type B struct{}
+
+func (A) rank() {}
+func (B) rank() {}
+
+func Zeta() { shared() }
+
+func Alpha() {
+	var a A
+	var b B
+	a.rank()
+	b.rank()
+	shared()
+	helper()
+}
+
+func shared() {}
+`
+
+const srcReachTest = `package p
+
+func helper() {}
+
+func Beta() { shared() }
+`
+
+func TestReachable(t *testing.T) {
+	ssa := buildFiles(t, "p.go", srcReach, "p_test.go", srcReachTest)
+	got := ssa.Reachable(map[string]bool{"Zeta": true, "Alpha": true, "Beta": true}, nil)
+	rootOf := map[string][]string{}
+	for fn, root := range got {
+		rootOf[fn.Name] = append(rootOf[fn.Name], root.Name)
+	}
+	// Both rank methods are visited, not just the last one declared.
+	if r := rootOf["rank"]; len(r) != 2 || r[0] != "Alpha" || r[1] != "Alpha" {
+		t.Errorf("rank methods attributed to %v, want [Alpha Alpha]", r)
+	}
+	// shared is reached from Zeta (declared first) and Alpha: the first
+	// root in sorted order wins; each root keeps its own attribution.
+	for name, want := range map[string]string{"shared": "Alpha", "Zeta": "Zeta", "Alpha": "Alpha"} {
+		if r := rootOf[name]; len(r) != 1 || r[0] != want {
+			t.Errorf("%s attributed to %v, want [%s]", name, r, want)
+		}
+	}
+	// Declarations in _test.go files are neither roots nor callees.
+	for _, name := range []string{"Beta", "helper"} {
+		if r, ok := rootOf[name]; ok {
+			t.Errorf("%s (declared in p_test.go) visited via %v", name, r)
+		}
+	}
+	if len(got) != 5 {
+		t.Errorf("visited %d functions, want 5 (Alpha, Zeta, shared, A.rank, B.rank)", len(got))
 	}
 }

@@ -256,13 +256,13 @@ func (s *Server) lastAdvance() time.Time {
 // still-lagging plan-cache anchor has been behind the current epoch,
 // approximated as time since the last advance while any template reports
 // lagging instances — 0 once revalidation has drained.
-func (s *Server) epochLagSeconds() float64 {
+func (s *Server) epochLagSeconds(stats []statsSnapshot) float64 {
 	last := s.lastAdvance()
 	if last.IsZero() {
 		return 0
 	}
-	for _, e := range s.snapshotEntries() {
-		if e.scr.Stats().LaggingInstances > 0 {
+	for _, st := range stats {
+		if st.LaggingInstances > 0 {
 			return time.Since(last).Seconds()
 		}
 	}

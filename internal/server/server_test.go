@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -398,6 +399,63 @@ func TestMetricsSeriesUnique(t *testing.T) {
 	}
 	if !declared["pqo_writer_wait_seconds_total"] || !perTemplate["pqo_writer_wait_seconds_total"]["t1"] {
 		t.Error("/metrics lacks pqo_writer_wait_seconds_total")
+	}
+}
+
+// countingEngine is a synthetic engine that reports recost cache counters
+// and counts how often they are read.
+type countingEngine struct {
+	*pqotest.Engine
+	counterReads atomic.Int64
+}
+
+var _ pqo.CacheReporter = (*countingEngine)(nil)
+
+func (e *countingEngine) RecostCacheCounters() (hits, misses int64) {
+	e.counterReads.Add(1)
+	return 0, 0
+}
+
+func (e *countingEngine) EnvPoolCounters() (gets, reuses int64) { return 0, 0 }
+
+// TestMetricsReadsStatsOncePerTemplate pins the cost of a /v1/metrics
+// scrape: one Stats snapshot per template, so a CacheReporter engine is
+// asked for its counters exactly once per template, not once per metric.
+func TestMetricsReadsStatsOncePerTemplate(t *testing.T) {
+	s := New(Config{})
+	var engs []*countingEngine
+	for i, name := range []string{"a", "b", "c"} {
+		base, err := pqotest.RandomEngine(rand.New(rand.NewSource(int64(20+i))), 2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := &countingEngine{Engine: base}
+		scr, err := pqo.New(eng, pqo.WithLambda(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Register(name, "SELECT synthetic", eng, scr); err != nil {
+			t.Fatal(err)
+		}
+		engs = append(engs, eng)
+	}
+	h := s.Handler()
+	if w, _ := postPlan(t, h, PlanRequest{Template: "a", SVector: []float64{0.1, 0.2}}); w.Code != http.StatusOK {
+		t.Fatalf("/plan: status %d", w.Code)
+	}
+	before := make([]int64, len(engs))
+	for i, eng := range engs {
+		before[i] = eng.counterReads.Load()
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("/v1/metrics: status %d", w.Code)
+	}
+	for i, eng := range engs {
+		if got := eng.counterReads.Load() - before[i]; got != 1 {
+			t.Errorf("template %d: one scrape read the recost cache counters %d times, want 1", i, got)
+		}
 	}
 }
 

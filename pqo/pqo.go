@@ -65,6 +65,9 @@ type (
 	// FaultReporter is implemented by engines that count injected faults
 	// (internal/faultinject); Stats picks the count up automatically.
 	FaultReporter = core.FaultReporter
+	// CacheReporter is implemented by engines that count recost memo and
+	// pooled-environment use; Stats picks the counters up automatically.
+	CacheReporter = core.CacheReporter
 	// EpochEngine is the optional versioned-statistics surface of an
 	// Engine: epoch-reporting Optimize/Recost plus the current epoch id.
 	EpochEngine = core.EpochEngine
@@ -149,7 +152,6 @@ var (
 	WithStoreAlways         = core.WithStoreAlways
 	WithPlanBudget          = core.WithPlanBudget
 	WithCostCheckLimit      = core.WithCostCheckLimit
-	WithoutCostCheck        = core.WithoutCostCheck
 	WithCandidateOrderByL   = core.WithCandidateOrderByL
 	WithViolationDetection  = core.WithViolationDetection
 	WithDegradedFallback    = core.WithDegradedFallback
